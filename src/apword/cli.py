@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .catalog import builtin_names, get_builtin
 from .errors import ParseError, ResourceCapError, SubstitutionError
@@ -161,7 +159,7 @@ def cmd_prefix(args) -> int:
     coding = _coding_for(builtin, args.coding)
     arr = prefix(fp, args.length, coding, cap=args.prefix_cap)
     if args.format == "u8":
-        data = arr.astype(np.uint8).tobytes()
+        data = memoryview(arr)  # the uint8 array itself, not a copy
         out = _resolve_out(args.out)
         if out:
             with open(out, "wb") as fh:

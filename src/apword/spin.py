@@ -100,18 +100,16 @@ def spin_fixed_point(sys: SpinSystem) -> FixedPointSpec:
 
 
 def spin_letter_at(sys: SpinSystem, n: int) -> int:
-    """Spin exponent at position n: sum of matrix entries over consecutive
-    digit pairs of n, read (higher, lower). The empty product is exponent 0.
-
-    Matches the substitution fixed point for symmetric spin matrices, which
-    covers every built-in system here.
+    """Spin exponent at position n: sum of matrix[low][high] over consecutive
+    base-D digit pairs of n, the top digit paired with an implicit 0 (the seed
+    digit). The empty sum, at n = 0, is exponent 0.
     """
     if n < 0:
         raise SubstitutionError("position must be >= 0")
-    digits = base_digits(n, sys.digits)
+    digits = base_digits(n, sys.digits) + [0]
     total = 0
     for low, high in zip(digits, digits[1:]):
-        total += sys.matrix[high][low]
+        total += sys.matrix[low][high]
     return total % sys.modulus
 
 

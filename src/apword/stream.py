@@ -14,8 +14,13 @@ PREFIX_CAP = 2**30
 
 
 @lru_cache(maxsize=None)
-def _rules_array(sub: Substitution) -> np.ndarray:
-    return np.array(sub.rules, dtype=np.uint8)
+def _block_table(sub: Substitution) -> tuple[int, np.ndarray]:
+    """(j, T): row a of T is the image of letter a under j rounds, the least j with L^j >= 256."""
+    j, table = 0, np.arange(sub.size, dtype=np.uint8)[:, None]
+    while table.shape[1] < 256:
+        j, table = j + 1, np.array(sub.rules, dtype=np.uint8)[table].reshape(sub.size, -1)
+    table.flags.writeable = False
+    return j, table
 
 
 def _cycle_length(sub: Substitution, seed: int) -> int | None:
@@ -137,30 +142,25 @@ def prefix(fp: FixedPointSpec, length: int, coding: Coding | None = None,
            cap: int = PREFIX_CAP) -> np.ndarray:
     """First `length` letters as a uint8 index array, coded if requested.
 
-    Block-expands full rounds of the substitution, truncating intermediates to
-    what later rounds still need, so memory stays proportional to the output.
+    Letters b*B .. b*B+B-1 of the fixed point u are row u[b] of the level-j image
+    table (B = L^j), so each level is one gather; the last uses the coded table.
     """
     if length < 1:
         raise SubstitutionError("prefix length must be >= 1")
     if length > cap:
         raise ResourceCapError(f"prefix of {length} letters exceeds cap {cap}")
-    sub = fp.sub
-    L = sub.length
-    arr = np.array([fp.seed], dtype=np.uint8)
-    if L == 1:
-        arr = np.full(length, fp.seed, dtype=np.uint8)
-    rules = _rules_array(sub)
-    while len(arr) < length:
-        for j in range(fp.power):
-            remaining = fp.power - j - 1
-            need = -(-length // L**remaining)  # ceil
-            arr = rules[arr].reshape(-1)
-            if len(arr) > need:
-                arr = arr[:need]
-    arr = arr[:length]
-    if coding is not None:
-        arr = coding.apply(arr)
-    return arr
+    if fp.sub.length == 1:
+        return np.full(length, fp.seed if coding is None else coding.table[fp.seed], np.uint8)
+    rounds, table = _block_table(fp.sub)
+    sizes = [length]
+    while sizes[-1] > table.shape[1]:
+        sizes.append(-(-sizes[-1] // table.shape[1]))
+    arr = [fp.seed]
+    for _ in range(-len(sizes) * rounds % fp.power):  # seed stepped back len(sizes) * j rounds
+        arr = [fp.sub.rules[arr[0]][0]]
+    for m in reversed(sizes[1:]):
+        arr = table[arr].reshape(-1)[:m]
+    return (table if coding is None else coding.apply(table))[arr].reshape(-1)[:length]
 
 
 def to_symbols(names, arr) -> list[str]:

@@ -88,10 +88,12 @@ def test_check_recurrence_counterexample():
     assert res.counterexample is not None and res.counterexample[0] <= 4
 
 
-@pytest.mark.parametrize("sys", [rudin_shapiro(), hadamard4(), vandermonde(3)])
+@pytest.mark.parametrize("sys", [rudin_shapiro(), hadamard4(), vandermonde(3), vandermonde(5),
+                                 SpinSystem(2, ((0, 1), (0, 0))),  # not symmetric
+                                 SpinSystem(2, ((0, 1), (1, 0)))])  # nonzero first column
 def test_coding_consistency_with_product_formula(sys):
     fp = spin_fixed_point(sys)
-    n = min(sys.digits**6, 4096)
+    n = 4096
     u = prefix(fp, n, spin_coding(sys))
     assert all(int(u[i]) == spin_letter_at(sys, i) for i in range(n))
 

@@ -2,21 +2,28 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apword import (
+    Alphabet,
     Coding,
     FixedPointSpec,
     ResourceCapError,
+    Substitution,
     SubstitutionError,
     get_builtin,
     letter_at,
+    letter_index_at,
     parse_substitution,
     prefix,
     spin_coding,
 )
+from apword.stream import _block_table, _cycle_length
 
 BUILTINS = ["tm:2", "tm:3", "tm:5", "rs", "hadamard4", "vandermonde:3", "outlook6",
-            "a4-example", "c3-invpal", "s3-noninvpal", "supersub5", "supersub6"]
+            "a4-example", "c3-invpal", "s3-noninvpal", "supersub5", "supersub6",
+            "vandermonde:5"]
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -104,3 +111,135 @@ def test_prefix_length_one_is_seed():
     for name in BUILTINS:
         fp = get_builtin(name).fixed_point()
         assert prefix(fp, 1)[0] == fp.seed
+
+
+def prefix_by_rounds(fp, length, coding=None):
+    """Slow reference: one full pass per substitution round, truncating each
+    intermediate to what the remaining rounds of the power still need."""
+    L = fp.sub.length
+    arr = np.array([fp.seed], dtype=np.uint8)
+    if L == 1:
+        arr = np.full(length, fp.seed, dtype=np.uint8)
+    rules = np.array(fp.sub.rules, dtype=np.uint8)
+    while len(arr) < length:
+        for j in range(fp.power):
+            need = -(-length // L ** (fp.power - j - 1))  # ceil
+            arr = rules[arr].reshape(-1)[:need]
+    arr = arr[:length]
+    return arr if coding is None else coding.apply(arr)
+
+
+def block_size(L):
+    """Letters per block-table row: L^j for the least j with L^j >= 256."""
+    B = L
+    while B < 256:
+        B *= L
+    return B
+
+
+def edge_lengths(L):
+    B = block_size(L)
+    return [1, B - 1, B, B + 1, B * B - 1, B * B + 1]
+
+
+def assert_matches_references(fp, length, coding=None):
+    got = prefix(fp, length, coding)
+    assert got.dtype == np.uint8 and got.shape == (length,)
+    assert bytes(got) == bytes(prefix_by_rounds(fp, length, coding))
+    table = np.arange(fp.sub.size) if coding is None else np.asarray(coding.table)
+    rng = random.Random(length)
+    positions = {0, length - 1} | {rng.randrange(length) for _ in range(64)}
+    if fp.sub.length == 1:
+        positions = {0}  # letter_index_at reads base-L digits, which need L >= 2
+    for n in sorted(positions):
+        assert got[n] == table[letter_index_at(fp, n)], n
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_block_prefix_matches_references_for_every_coding(name):
+    b = get_builtin(name)
+    fp = b.fixed_point()
+    sub = b.substitution
+    assert _block_table(sub)[1].shape == (sub.size, block_size(sub.length))
+    for coding in [None, *b.codings().values()]:
+        for length in edge_lengths(sub.length):
+            assert_matches_references(fp, length, coding)
+
+
+def test_block_prefix_length_one_substitution():
+    sub = parse_substitution("a -> b ; b -> a ; c -> a")
+    collapse = Coding.from_map(sub, {"a": "x", "b": "y", "c": "x"})
+    for seed in "ab":
+        fp = FixedPointSpec.find(sub, seed)
+        assert fp.power == 2
+        for coding in (None, collapse):
+            for length in (1, 2, 255, 256, 257, 1000):
+                assert_matches_references(fp, length, coding)
+
+
+def test_block_prefix_single_level_table_for_long_rules():
+    L = 300
+    rng = random.Random(300)
+    letters = ("a", "b", "c")
+    sub = Substitution.from_words(letters, {
+        a: [a] + [rng.choice(letters) for _ in range(L - 1)] for a in letters})
+    assert _block_table(sub)[1].shape == (3, L)
+    collapse = Coding.from_map(sub, {"a": "0", "b": "1", "c": "1"})
+    for seed in letters:
+        fp = FixedPointSpec.find(sub, seed)
+        for coding in (None, collapse):
+            for length in edge_lengths(L):
+                assert_matches_references(fp, length, coding)
+
+
+def cyclic_first_column(p, L, seed=0):
+    """Substitution whose first column cycles letters 0..p-1; one more letter
+    outside the cycle maps into it. Other columns are random."""
+    rng = random.Random(seed)
+    c = p + 1
+    rules = tuple(((a + 1) % p,) + tuple(rng.randrange(c) for _ in range(L - 1))
+                  for a in range(c))
+    return Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), rules)
+
+
+POWER_CASES = [
+    (parse_substitution("a -> bab ; b -> aba"), 2),
+    (cyclic_first_column(6, 2), 6),
+    (cyclic_first_column(6, 3, seed=1), 6),
+    (cyclic_first_column(3, 2, seed=2), 3),
+    (cyclic_first_column(6, 5, seed=3), 6),
+]
+
+
+@pytest.mark.parametrize("sub,power", POWER_CASES)
+def test_block_prefix_powers_from_every_seed(sub, power):
+    seeds = [a for a in range(sub.size) if _cycle_length(sub, a) is not None]
+    assert len(seeds) == power
+    for seed in seeds:
+        fp = FixedPointSpec.find(sub, seed)
+        assert fp.power == power
+        for length in edge_lengths(sub.length) + [3 * block_size(sub.length) ** 2 + 5]:
+            assert_matches_references(fp, length)
+
+
+@st.composite
+def fixed_points(draw):
+    c = draw(st.integers(1, 6))
+    L = draw(st.integers(2, 5))
+    rules = tuple(tuple(draw(st.lists(st.integers(0, c - 1), min_size=L, max_size=L)))
+                  for _ in range(c))
+    sub = Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), rules)
+    seed = draw(st.sampled_from([a for a in range(c) if _cycle_length(sub, a) is not None]))
+    power = _cycle_length(sub, seed) * draw(st.integers(1, 3))
+    return FixedPointSpec(sub, seed, power)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fp=fixed_points(), data=st.data())
+def test_block_prefix_agrees_with_letter_index_at(fp, data):
+    B = block_size(fp.sub.length)
+    length = data.draw(st.integers(1, 3 * B * B))
+    got = prefix(fp, length)
+    positions = data.draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=40))
+    for n in positions + [0, length - 1]:
+        assert got[n] == letter_index_at(fp, n), n
