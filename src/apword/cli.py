@@ -143,7 +143,11 @@ def cmd_analyze(args) -> int:
         }
     if report["primitive"]:
         rec = recurrence_constants(sub, "exact" if args.exact_recurrence else "formula")
-        entry = {"r_formula": str(rec.r_formula), "n_bound": rec.n_bound}
+        try:
+            r_text = str(rec.r_formula)
+        except ValueError:  # over Python's int-to-decimal digit limit
+            r_text = f"2*{rec.L}^{rec.n_bound}-{rec.L}"
+        entry = {"r_formula": r_text, "n_bound": rec.n_bound}
         if args.exact_recurrence:
             entry.update(n_exact=rec.n_exact, zeta2=rec.zeta2_exact, r_exact=rec.r_exact)
         else:
@@ -291,7 +295,7 @@ def build_parser() -> _Parser:
     _add_source_flags(p)
     _add_scan_flags(p)
     p.add_argument("--range", required=True, help="difference range a:b")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--csv", help="output path (default stdout)")
     p.set_defaults(func=cmd_apscan)
 

@@ -7,8 +7,6 @@ the predicted difference families together with their verification harness.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
@@ -32,6 +30,7 @@ from .vdw import min_prime_power
 
 EXACT = "ExactUnderBound"
 LOWER = "LowerBoundOnly"
+_PACK_CHUNK = 2**20  # letters compared per packing step; a multiple of 8 keeps it byte-aligned
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,12 @@ class ScanPolicy:
 def max_ap_in_prefix(word, d: int) -> APResult:
     """Exact maximum progression inside a finite word, leftmost start on ties.
 
-    Per residue class mod d the word splits into strided slices whose runs of
-    equal consecutive letters are the progressions; linear in the word length.
+    Bit i of the mask p_k is set iff w[i] == w[i+d] == ... == w[i+k*d]. Since
+    p_{k+s} = p_k & (p_k >> s*d) for every s <= k, k gallops up by doubling
+    and back down by halving to the largest k with a set bit; the lowest set
+    bit of that mask is the leftmost start. The mask is packed from the
+    comparisons in fixed-size chunks and held as one integer, so every step
+    reads about n/8 bytes and the step count depends on the answer, not on d.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
@@ -62,40 +65,26 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     n = len(w)
     if n == 0:
         raise SubstitutionError("word must be non-empty")
-    best_len, best_start = 1, 0
     if d >= n:
-        return APResult(d, best_len, best_start, n, LOWER)
-    eq = w[:-d] == w[d:]
-    for r in range(d):
-        a = eq[r::d]
-        if not a.any():
-            continue
-        edges = np.flatnonzero(np.diff(np.concatenate(([False], a, [False]))))
-        starts, ends = edges[0::2], edges[1::2]
-        lengths = ends - starts
-        i = int(lengths.argmax())
-        cand_len = int(lengths[i]) + 1
-        cand_start = r + d * int(starts[i])
-        if cand_len > best_len or (cand_len == best_len and cand_start < best_start):
-            best_len, best_start = cand_len, cand_start
-    return APResult(d, best_len, best_start, n, LOWER)
-
-
-def max_ap_oracle(word, d: int) -> tuple[int, int]:
-    """Plain double-loop reference: extend from every run start."""
-    n = len(word)
-    best_len, best_start = 1, 0
-    for s in range(n):
-        if s >= d and word[s - d] == word[s]:
-            continue
-        length = 1
-        j = s + d
-        while j < n and word[j] == word[s]:
-            length += 1
-            j += d
-        if length > best_len:
-            best_len, best_start = length, s
-    return best_len, best_start
+        return APResult(d, 1, 0, n, LOWER)
+    m = n - d
+    packed = np.empty((m + 7) // 8, dtype=np.uint8)
+    for a in range(0, m, _PACK_CHUNK):
+        b = min(a + _PACK_CHUNK, m)
+        packed[a // 8:(b + 7) // 8] = np.packbits(w[a:b] == w[a + d:b + d], bitorder="little")
+    mask = int.from_bytes(packed, "little")
+    del packed
+    if not mask:
+        return APResult(d, 1, 0, n, LOWER)
+    k = 1
+    while longer := mask & (mask >> (k * d)):
+        mask, k = longer, 2 * k
+    step = k // 2
+    while step:
+        if longer := mask & (mask >> (step * d)):
+            mask, k = longer, k + step
+        step //= 2
+    return APResult(d, k + 1, (mask ^ (mask - 1)).bit_length() - 1, n, LOWER)
 
 
 class PrefixSource:
@@ -107,13 +96,11 @@ class PrefixSource:
         self.coding = coding
         self.cap = cap
         self._arr: np.ndarray | None = None
-        self._lock = threading.Lock()
 
     def get(self, n: int) -> np.ndarray:
-        with self._lock:
-            if self._arr is None or len(self._arr) < n:
-                self._arr = prefix(self.fp, n, self.coding, cap=self.cap)
-            return self._arr[:n]
+        if self._arr is None or len(self._arr) < n:
+            self._arr = prefix(self.fp, n, self.coding, cap=self.cap)
+        return self._arr[:n]
 
 
 @lru_cache(maxsize=None)
@@ -392,20 +379,19 @@ def verify_family(fp: FixedPointSpec, coding: Coding | None,
 
 def scan(fp: FixedPointSpec, coding: Coding | None, d_from: int, d_to: int,
          policy: ScanPolicy = ScanPolicy(), jobs: int = 1) -> list[APResult]:
-    """A(d) rows for a difference range, deterministic and increasing in d."""
+    """A(d) rows for a difference range, deterministic and increasing in d.
+
+    ``jobs`` is accepted for compatibility and has no effect: rows are
+    computed one after another.
+    """
     if not 1 <= d_from <= d_to:
         raise SubstitutionError("need 1 <= d_from <= d_to")
     src = PrefixSource(fp, coding)
     src.get(min(policy.initial_prefix, policy.prefix_cap))
-
-    def one(d: int) -> APResult:
+    rows = []
+    for d in range(d_from, d_to + 1):
         try:
-            return a_of_d(fp, coding, d, policy, source=src)
+            rows.append(a_of_d(fp, coding, d, policy, source=src))
         except ResourceCapError as exc:
-            return APResult(d, 0, 0, 0, f"Error:{exc}")
-
-    ds = range(d_from, d_to + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, ds))
-    return [one(d) for d in ds]
+            rows.append(APResult(d, 0, 0, 0, f"Error:{exc}"))
+    return rows

@@ -256,6 +256,8 @@ def is_bijective(sub: Substitution) -> bool:
 
 def base_digits(k: int, base: int) -> list[int]:
     """Digits of k in the given base, least significant first; 0 -> []."""
+    if k < 0 or (k and base < 2):
+        raise SubstitutionError(f"{k} has no base-{base} digits")
     digits = []
     while k:
         k, r = divmod(k, base)
@@ -443,14 +445,14 @@ def recurrence_constants(
         return RecurrenceReport(c, L, r_formula, n_bound)
     if mode != "exact":
         raise SubstitutionError(f"unknown mode {mode!r}")
+    if L < 2:
+        raise SubstitutionError("exact recurrence needs substitution length >= 2")
 
     n_exact = min_pair_cover_power(sub)
     gap_bound = 2 * L**n_exact - 1  # a 2-word recurs inside every two level-n images
     needed = (L * gap_bound + 1) * (gap_bound + 2)
     if prefix_cap is None:
-        prefix_cap = L
-        while prefix_cap < 2 * L**n_bound * L:
-            prefix_cap *= L
+        prefix_cap = L ** (n_bound + 2)  # least power of L reaching 2 L^(n_bound+1)
     cap = min(prefix_cap, practical_cap)
     if needed > cap:
         raise ResourceCapError(

@@ -35,7 +35,8 @@ from apword import (
     verify_family,
 )
 from apword.groups import compose, identity_perm, inverse, perm_order
-from apword.progressions import PrefixSource, max_ap_oracle
+from apword.progressions import PrefixSource
+from ap_oracle import max_ap_oracle
 
 
 def _report(criterion, ok, detail=""):

@@ -21,6 +21,7 @@ def test_analyze_tm3():
     assert report["group"]["order"] == 3 and report["group"]["cyclic"]
     assert report["palindromicity"]["g_witness"] == "(0 2 1)"
     assert report["aperiodicity"]["status"] == "AperiodicByCriterion"
+    assert report["recurrence"]["r_formula"] == str(2 * 3**66 - 3)  # decimal when it fits
 
 
 def test_analyze_a4():
@@ -34,6 +35,14 @@ def test_analyze_exact_recurrence():
     report = json.loads(cp.stdout)
     assert report["recurrence"]["n_exact"] == 3
     assert report["recurrence"]["zeta2"] == 8
+
+
+def test_analyze_r_formula_over_the_decimal_digit_limit():
+    # 2*5^389378-5 has 272,164 digits, past Python's int-to-str limit of 4300
+    cp = run_cli("analyze", "--builtin", "vandermonde:5")
+    assert cp.returncode == 0, cp.stderr
+    rec = json.loads(cp.stdout)["recurrence"]
+    assert rec["r_formula"] == "2*5^389378-5" and rec["n_bound"] == 389378
 
 
 def test_analyze_parse_failure_exit_1(tmp_path: Path):

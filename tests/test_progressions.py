@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apword import (
     ResourceCapError,
@@ -16,9 +20,41 @@ from apword import (
     upper_bound,
     verify_family,
 )
-from apword.progressions import EXACT, LOWER, max_ap_oracle
+from apword.progressions import _PACK_CHUNK, EXACT, LOWER
+from ap_oracle import max_ap_oracle
 
 SMALL = ScanPolicy(initial_prefix=2**16, prefix_cap=2**20)
+
+
+def max_ap_by_residues(word, d: int) -> tuple[int, int]:
+    """Slow reference for words too large for the oracle: one strided run-length
+    pass per residue class mod d, leftmost start on ties.
+    """
+    w = np.asarray(word)
+    n = len(w)
+    best_len, best_start = 1, 0
+    if d >= n:
+        return best_len, best_start
+    eq = w[:-d] == w[d:]
+    for r in range(min(d, n - d)):  # residues from n - d on hold no comparison
+        a = eq[r::d]
+        if not a.any():
+            continue
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], a, [False]))))
+        starts, ends = edges[0::2], edges[1::2]
+        lengths = ends - starts
+        i = int(lengths.argmax())
+        cand_len = int(lengths[i]) + 1
+        cand_start = r + d * int(starts[i])
+        if cand_len > best_len or (cand_len == best_len and cand_start < best_start):
+            best_len, best_start = cand_len, cand_start
+    return best_len, best_start
+
+
+def _kernel(word, d):
+    res = max_ap_in_prefix(word, d)
+    assert (res.d, res.prefix_len, res.status) == (d, len(word), LOWER)
+    return res.best_len, res.best_start
 
 
 def test_max_ap_constant_word():
@@ -48,6 +84,81 @@ def test_max_ap_matches_oracle(name):
     for d in range(1, 40):
         res = max_ap_in_prefix(w, d)
         assert (res.best_len, res.best_start) == max_ap_oracle(listed, d)
+
+
+@st.composite
+def words_and_differences(draw):
+    n = draw(st.integers(1, 300))
+    letters = st.integers(0, draw(st.integers(1, 4)) - 1)
+    kind = draw(st.sampled_from(["random", "constant", "periodic", "repeated"]))
+    if kind == "random":
+        word = draw(st.lists(letters, min_size=n, max_size=n))
+    elif kind == "constant":
+        word = [draw(letters)] * n
+    elif kind == "periodic":
+        word = (draw(st.lists(letters, min_size=1, max_size=8)) * n)[:n]
+    else:
+        times = draw(st.integers(2, 6))
+        word = [a for a in draw(st.lists(letters, min_size=1, max_size=n))
+                for _ in range(times)][:n]
+    return word, draw(st.integers(1, len(word) + 2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=words_and_differences())
+@example(case=([9, 0, 8, 5, 0, 6, 5, 7, 4], 3))  # residues 0 and 1 tie; 1 starts first
+def test_kernel_matches_oracle_property(case):
+    word, d = case
+    assert _kernel(np.array(word, dtype=np.uint8), d) == max_ap_oracle(word, d)
+
+
+def test_kernel_matches_oracle_at_every_length_mod_8():
+    # every n - d residue mod 8, on words whose best runs tie across residues
+    rng = np.random.default_rng(8)
+    for n in range(1, 42):
+        words = [np.zeros(n, np.uint8), np.arange(n, dtype=np.uint8) % 3,
+                 np.repeat(np.arange(n, dtype=np.uint8) % 2, 3)[:n],
+                 rng.integers(0, 2, n).astype(np.uint8)]
+        for w in words:
+            listed = list(w)
+            for d in range(1, n + 3):
+                assert _kernel(w, d) == max_ap_oracle(listed, d), (listed, d)
+
+
+@pytest.mark.parametrize("name", ["rs", "tm:2"])
+def test_kernel_matches_residue_reference_on_prefixes(name):
+    b = get_builtin(name)
+    w = prefix(b.fixed_point(), 2**21 + 3, b.coding("spin") if b.spin else None)
+    for d in (1, 2, 3, 7, 8, 9, 64, 1023, 1025, 4097, 16385, 2**20 + 1):
+        lengths = [d + 1, d + 2**16 + 5] if d > 2**20 else [d + 1, len(w)]
+        for n in lengths:
+            assert _kernel(w[:n], d) == max_ap_by_residues(w[:n], d), (d, n)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 9, 1025])
+def test_kernel_run_across_packing_chunk(d):
+    rng = np.random.default_rng(d)
+    w = rng.integers(0, 4, 3 * _PACK_CHUNK).astype(np.uint8)
+    start = _PACK_CHUNK - 40 * d + 1
+    w[start:start + 100 * d:d] = 9
+    best_len, best_start = _kernel(w, d)
+    assert (best_len, best_start) == max_ap_by_residues(w, d)
+    assert best_len >= 100 and best_start < _PACK_CHUNK < best_start + (best_len - 1) * d
+
+
+def test_kernel_traced_peak_memory():
+    # guards peak RSS: the per-residue kernel peaked at 1.0-7.0 n traced bytes
+    b = get_builtin("rs")
+    w = prefix(b.fixed_point(), 2**24, b.coding("spin"))
+    tracemalloc.start()
+    try:
+        for d in (1, 3, 64, 1025, 4097):
+            tracemalloc.reset_peak()
+            max_ap_in_prefix(w, d)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= 0.6 * len(w), (d, peak / len(w))
+    finally:
+        tracemalloc.stop()
 
 
 def test_tm_cube_free():

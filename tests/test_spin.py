@@ -128,3 +128,10 @@ def test_hadamard_measured_values():
     for n in range(1, 4):
         assert a_of_d(fp, coding, 4**n + 1, pol).best_len >= 4 ** (n - 1) + 2
         assert a_of_d(fp, coding, 4**n - 1, pol).best_len >= 4 ** (n - 1) + 3
+
+
+def test_spin_letter_at_one_digit_system():
+    sys1 = SpinSystem(1, ((0,),))
+    assert spin_letter_at(sys1, 0) == 0
+    with pytest.raises(SubstitutionError):  # base-1 digits: used to loop forever
+        spin_letter_at(sys1, 1)

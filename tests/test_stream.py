@@ -177,6 +177,13 @@ def test_block_prefix_length_one_substitution():
                 assert_matches_references(fp, length, coding)
 
 
+def test_letter_index_at_length_one_substitution():
+    fp = FixedPointSpec.find(parse_substitution("a -> b ; b -> a ; c -> a"), "a")
+    assert letter_index_at(fp, 0) == 0
+    with pytest.raises(SubstitutionError):  # base-1 digits: used to loop forever
+        letter_index_at(fp, 1)
+
+
 def test_block_prefix_single_level_table_for_long_rules():
     L = 300
     rng = random.Random(300)

@@ -17,6 +17,7 @@ from apword import (
     power_column,
     recurrence_constants,
 )
+from apword.substitution import base_digits
 
 TM = parse_substitution("0 -> 01 ; 1 -> 10")
 
@@ -225,6 +226,26 @@ def test_recurrence_exact_known_n():
 def test_recurrence_exact_cap_diagnostic():
     with pytest.raises(ResourceCapError):
         recurrence_constants(TM, "exact", practical_cap=100)
+
+
+def test_base_digits_rejects_inputs_without_digits():
+    assert base_digits(6, 2) == [0, 1, 1]
+    assert base_digits(0, 1) == []
+    for k, base in ((1, 1), (7, 0), (-1, 2)):  # each looped forever or divided by zero
+        with pytest.raises(SubstitutionError):
+            base_digits(k, base)
+
+
+def test_recurrence_exact_length_one_raises():
+    with pytest.raises(SubstitutionError):
+        recurrence_constants(parse_substitution("a -> a"), "exact")
+
+
+def test_recurrence_exact_huge_pair_cover_bound():
+    # c = 25 gives n_bound = 389378; the default cap is L**(n_bound + 2), no loop
+    rep = recurrence_constants(get_builtin("vandermonde:5").substitution, "exact")
+    assert (rep.n_bound, rep.n_exact) == (389378, 4)
+    assert rep.r_exact == 5 * rep.zeta2_exact
 
 
 def test_aperiodicity():
