@@ -13,12 +13,12 @@ import os
 import sys
 
 from . import __version__
-from .catalog import builtin_names, get_builtin
+from .catalog import Builtin, get_builtin
 from .errors import ParseError, ResourceCapError, SubstitutionError
 from .groups import cycle_notation, generate_group, palindromicity
 from .progressions import ScanPolicy, difference_families, scan, verify_family
-from .spin import spin_system_from_json
-from .stream import Coding, FixedPointSpec, prefix, to_symbols
+from .spin import build_spin_substitution, spin_system_from_json
+from .stream import Coding, prefix, to_symbols
 from .substitution import (
     aperiodicity_certificate,
     columns,
@@ -59,8 +59,6 @@ def _header(args) -> str:
 
 def _load_target(args):
     """Builtin object when named, else a parsed substitution or spin matrix."""
-    from .catalog import Builtin
-
     if args.builtin:
         return get_builtin(args.builtin)
     if args.file:
@@ -69,8 +67,6 @@ def _load_target(args):
     else:
         source = args.rules
     if source.lstrip().startswith("{") and "matrix" in json.loads(source):
-        from .spin import build_spin_substitution
-
         sys_ = spin_system_from_json(json.loads(source))
         sub = build_spin_substitution(sys_)
         return Builtin("user-spin", "user spin system", sub,
@@ -194,7 +190,7 @@ def cmd_apscan(args) -> int:
     fp = builtin.fixed_point()
     coding = _coding_for(builtin, args.coding)
     d_from, d_to = _parse_range(args.range)
-    rows = scan(fp, coding, d_from, d_to, _policy(args), jobs=args.jobs)
+    rows = scan(fp, coding, d_from, d_to, _policy(args))
     lines = [_header(args), "d,best_len,best_start,prefix_len,status"]
     lines += [f"{r.d},{r.best_len},{r.best_start},{r.prefix_len},{r.status}" for r in rows]
     _emit("\n".join(lines) + "\n", args.csv)
@@ -295,7 +291,6 @@ def build_parser() -> _Parser:
     _add_source_flags(p)
     _add_scan_flags(p)
     p.add_argument("--range", required=True, help="difference range a:b")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--csv", help="output path (default stdout)")
     p.set_defaults(func=cmd_apscan)
 

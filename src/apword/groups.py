@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .errors import SubstitutionError
 from .substitution import (
@@ -83,12 +83,17 @@ class ColumnGroup:
                 raise SubstitutionError("group exponent does not kill every element")
 
 
-def generate_group(sub: Substitution) -> ColumnGroup:
-    """Closure of the column maps under composition, with cached structure."""
+def _bijective_columns(sub: Substitution) -> list[ColumnMap]:
     cols = columns(sub)
     for i, col in enumerate(cols):
         if not col.is_bijective:
             raise SubstitutionError(f"column {i} is not a bijection ({col.kind})")
+    return cols
+
+
+def generate_group(sub: Substitution) -> ColumnGroup:
+    """Closure of the column maps under composition, with cached structure."""
+    cols = _bijective_columns(sub)
     c = sub.size
     gens = tuple(dict.fromkeys(col.image for col in cols))
     cap = factorial(c)
@@ -133,10 +138,7 @@ class PalindromicityReport:
 
 def palindromicity(sub: Substitution) -> PalindromicityReport:
     """Check whether every column composed with its mirror column is one fixed map."""
-    cols = columns(sub)
-    for i, col in enumerate(cols):
-        if not col.is_bijective:
-            raise SubstitutionError(f"column {i} is not a bijection ({col.kind})")
+    cols = _bijective_columns(sub)
     L = sub.length
     candidate = compose(cols[0].image, cols[L - 1].image)
     for i in range(L):

@@ -20,11 +20,9 @@ from .stream import Coding, FixedPointSpec, prefix
 from .substitution import (
     Substitution,
     column,
-    is_bijective,
-    is_primitive,
     min_pair_cover_power,
     recurrence_formula,
-    aperiodicity_certificate,
+    star_defect,
 )
 from .vdw import min_prime_power
 
@@ -90,35 +88,26 @@ def max_ap_in_prefix(word, d: int) -> APResult:
 class PrefixSource:
     """Grow-once cache of a (coded) fixed-point prefix shared across scans."""
 
-    def __init__(self, fp: FixedPointSpec, coding: Coding | None = None,
-                 cap: int = 2**30):
+    def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
         self.fp = fp
         self.coding = coding
-        self.cap = cap
         self._arr: np.ndarray | None = None
 
     def get(self, n: int) -> np.ndarray:
         if self._arr is None or len(self._arr) < n:
-            self._arr = prefix(self.fp, n, self.coding, cap=self.cap)
+            self._arr = prefix(self.fp, n, self.coding)
         return self._arr[:n]
 
 
 @lru_cache(maxsize=None)
 def _certification_basis(sub: Substitution) -> tuple[bool, int | None]:
     """Whether the upper-bound route applies to this substitution, plus its N."""
-    if not is_bijective(sub) or not is_primitive(sub):
-        return False, None
-    if column(sub, 0).image != identity_perm(sub.size):
-        return False, None
-    group = generate_group(sub)
-    if not group.abelian:
-        return False, None
-    if aperiodicity_certificate(sub, detector_prefix=2**12).status != "AperiodicByCriterion":
+    if star_defect(sub) is not None or not generate_group(sub).abelian:
         return False, None
     return True, min_pair_cover_power(sub)
 
 
-def upper_bound(sub: Substitution, d: int, n_value: int | None = None) -> int | None:
+def upper_bound(sub: Substitution, d: int) -> int | None:
     """Smallest applicable theoretical bound on the progression length at d.
 
     Route one uses the minimal window exponent M with d <= L**M when the gcd
@@ -129,10 +118,9 @@ def upper_bound(sub: Substitution, d: int, n_value: int | None = None) -> int | 
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
-    ok, n_exact = _certification_basis(sub)
+    ok, N = _certification_basis(sub)
     if not ok:
         return None
-    N = n_value if n_value is not None else n_exact
     L = sub.length
     candidates = []
 
@@ -159,10 +147,7 @@ def _certified_window(sub: Substitution, coding: Coding | None, d: int,
     """Prefix length that makes a scan at difference d provably exhaustive."""
     if coding is not None and not coding.is_injective:
         return None
-    ok, n_exact = _certification_basis(sub)
-    if not ok:
-        return None
-    bound = upper_bound(sub, d, n_value=n_exact)
+    bound = upper_bound(sub, d)
     if bound is None:
         return None
     R = r_override if r_override is not None else recurrence_formula(sub.size, sub.length)[0]
@@ -263,10 +248,7 @@ def _sub_families(sub: Substitution, ks, names) -> list[DifferenceFamily]:
             out.append(DifferenceFamily("tm", (k,), d, lower, upper_bound(sub, d),
                                         "cyclic-shift-refinement"))
         if "palindrome" in wanted:
-            d = L**k - 1  # mirror pairing with window exponent 2
-            lower = L**k + (2 if pal.inverse_palindromic else 0)
-            out.append(DifferenceFamily("palindrome", (k, 2), d, lower,
-                                        upper_bound(sub, d), "mirror-columns"))
+            out.append(palindromic_member(sub, k, 2))
     return out
 
 
@@ -378,12 +360,8 @@ def verify_family(fp: FixedPointSpec, coding: Coding | None,
 
 
 def scan(fp: FixedPointSpec, coding: Coding | None, d_from: int, d_to: int,
-         policy: ScanPolicy = ScanPolicy(), jobs: int = 1) -> list[APResult]:
-    """A(d) rows for a difference range, deterministic and increasing in d.
-
-    ``jobs`` is accepted for compatibility and has no effect: rows are
-    computed one after another.
-    """
+         policy: ScanPolicy = ScanPolicy()) -> list[APResult]:
+    """A(d) rows for a difference range, deterministic and increasing in d."""
     if not 1 <= d_from <= d_to:
         raise SubstitutionError("need 1 <= d_from <= d_to")
     src = PrefixSource(fp, coding)

@@ -16,6 +16,8 @@ PREFIX_CAP = 2**30
 @lru_cache(maxsize=None)
 def _block_table(sub: Substitution) -> tuple[int, np.ndarray]:
     """(j, T): row a of T is the image of letter a under j rounds, the least j with L^j >= 256."""
+    if sub.length < 2:
+        raise SubstitutionError("block table needs substitution length >= 2")
     j, table = 0, np.arange(sub.size, dtype=np.uint8)[:, None]
     while table.shape[1] < 256:
         j, table = j + 1, np.array(sub.rules, dtype=np.uint8)[table].reshape(sub.size, -1)
@@ -149,8 +151,10 @@ def prefix(fp: FixedPointSpec, length: int, coding: Coding | None = None,
         raise SubstitutionError("prefix length must be >= 1")
     if length > cap:
         raise ResourceCapError(f"prefix of {length} letters exceeds cap {cap}")
-    if fp.sub.length == 1:
-        return np.full(length, fp.seed if coding is None else coding.table[fp.seed], np.uint8)
+    if fp.sub.length == 1:  # the fixed point is the seed alone
+        if length > 1:
+            raise SubstitutionError("a length-1 substitution has a one-letter fixed point")
+        return np.full(1, fp.seed if coding is None else coding.table[fp.seed], np.uint8)
     rounds, table = _block_table(fp.sub)
     sizes = [length]
     while sizes[-1] > table.shape[1]:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .errors import ParseError, ResourceCapError, SubstitutionError
 
 MAX_DENSE_ALPHABET = 256  # letters are stored as uint8 in bulk kernels
@@ -75,16 +77,8 @@ class ColumnMap:
     def is_bijective(self) -> bool:
         return self.kind == "bijective"
 
-    @property
-    def is_coincidence(self) -> bool:
-        return self.kind == "coincidence"
-
     def __call__(self, a: int) -> int:
         return self.image[a]
-
-    def compose(self, other: "ColumnMap") -> "ColumnMap":
-        """self after other: (self . other)(a) = self(other(a))."""
-        return ColumnMap(tuple(self.image[x] for x in other.image))
 
 
 @dataclass(frozen=True)
@@ -395,7 +389,7 @@ def min_pair_cover_power(sub: Substitution) -> int:
     if not is_primitive(sub):
         raise SubstitutionError("pair-cover power needs a primitive substitution")
     target = _legal_index_words(sub, 2)
-    bound = sub.size**4 - 2 * sub.size**2 + 3
+    bound = recurrence_formula(sub.size, sub.length)[1]
     for n, pairs in enumerate(_pair_sets_by_level(sub), start=1):
         if all(pairs[a] >= target for a in range(sub.size)):
             return n
@@ -459,8 +453,6 @@ def recurrence_constants(
             f"exact recurrence scan needs a prefix of {needed} letters, cap is {cap}"
         )
 
-    import numpy as np
-
     from .stream import FixedPointSpec, prefix
 
     fp = FixedPointSpec.find(sub)
@@ -501,18 +493,38 @@ def _min_period(seq) -> int:
     return n - border[-1]
 
 
+def _two_words_share_an_end(sub: Substitution) -> bool:
+    """Two legal 2-words share a first or a last letter: the aperiodicity
+    criterion for primitive bijective substitutions."""
+    pairs = _legal_index_words(sub, 2)
+    return len({a for a, _ in pairs}) < len(pairs) or len({b for _, b in pairs}) < len(pairs)
+
+
+def star_defect(sub: Substitution) -> str | None:
+    """First condition of the column-group upper bound that sub fails, or None.
+
+    The bound needs a bijective, primitive substitution with the identity as
+    its zeroth column, aperiodic by the 2-word criterion; no prefix is read.
+    """
+    if not is_bijective(sub):
+        return "is not bijective"
+    if not is_primitive(sub):
+        return "is not primitive"
+    if column(sub, 0).image != tuple(range(sub.size)):
+        return "does not have the identity as its zeroth column"
+    if not _two_words_share_an_end(sub):
+        return "is not aperiodic by the 2-word criterion"
+    return None
+
+
 def aperiodicity_certificate(sub: Substitution, *, detector_prefix: int = 2**20) -> AperiodicityResult:
     """Certify aperiodicity for primitive bijective substitutions, else try to
     detect a periodic fixed point on a prefix."""
-    if is_primitive(sub) and is_bijective(sub):
-        pairs = sorted(_legal_index_words(sub, 2))
-        starts = [a for a, _ in pairs]
-        ends = [b for _, b in pairs]
-        if len(starts) != len(set(starts)) or len(ends) != len(set(ends)):
-            return AperiodicityResult(
-                "AperiodicByCriterion",
-                detail="two legal 2-words share a first or last letter",
-            )
+    if is_primitive(sub) and is_bijective(sub) and _two_words_share_an_end(sub):
+        return AperiodicityResult(
+            "AperiodicByCriterion",
+            detail="two legal 2-words share a first or last letter",
+        )
 
     from .stream import FixedPointSpec, prefix
 
@@ -535,8 +547,6 @@ class HeightResult:
 
 def height(sub: Substitution, prefix_len: int) -> HeightResult:
     """Largest divisor of gcd{a > 0 : w_a = w_0} coprime to L, over a prefix."""
-    import numpy as np
-
     from .stream import FixedPointSpec, prefix
 
     fp = FixedPointSpec.find(sub)

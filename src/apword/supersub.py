@@ -5,17 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SubstitutionError
-from .groups import generate_group, identity_perm
+from .groups import generate_group
 from .progressions import DifferenceFamily
 from .stream import FixedPointSpec, letter_index_at
-from .substitution import (
-    Alphabet,
-    Substitution,
-    aperiodicity_certificate,
-    column,
-    is_bijective,
-    is_primitive,
-)
+from .substitution import Alphabet, Substitution, star_defect
 
 
 @dataclass(frozen=True)
@@ -83,18 +76,6 @@ def check_partition(sub: Substitution, partition: Partition) -> PartitionCheck:
     return PartitionCheck(True, theta, Substitution(names, tuple(rules)))
 
 
-def _require_star(xi: Substitution, what: str) -> None:
-    """Aperiodic, primitive, bijective, identity zeroth column."""
-    if not is_bijective(xi):
-        raise SubstitutionError(f"{what} is not bijective")
-    if not is_primitive(xi):
-        raise SubstitutionError(f"{what} is not primitive")
-    if column(xi, 0).image != identity_perm(xi.size):
-        raise SubstitutionError(f"{what} does not fix block order in its zeroth column")
-    if aperiodicity_certificate(xi, detector_prefix=2**14).status != "AperiodicByCriterion":
-        raise SubstitutionError(f"aperiodicity of {what} could not be certified")
-
-
 def lift_identity_family(sub: Substitution, partition: Partition, ks,
                          seed: str | int | None = None) -> list[DifferenceFamily]:
     """Identity-column family of the quotient, lifted to the original word.
@@ -109,7 +90,8 @@ def lift_identity_family(sub: Substitution, partition: Partition, ks,
     if len(partition.blocks[block0]) != 1:
         raise SubstitutionError("seed block must be a singleton to lift progressions")
     xi = check.quotient
-    _require_star(xi, "quotient substitution")
+    if (defect := star_defect(xi)) is not None:
+        raise SubstitutionError(f"quotient substitution {defect}")
     e = generate_group(xi).exponent
     L = sub.length
     out = []

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import SubstitutionError
+from .substitution import recurrence_formula
 
 FACTOR_CAP = 2**63
 
@@ -20,14 +21,6 @@ def ceil_log(base: int, value: int) -> int:
         power *= base
         k += 1
     return k
-
-
-def pair_cover_bound(c: int) -> int:
-    return c**4 - 2 * c**2 + 3
-
-
-def formula_r(c: int, L: int) -> int:
-    return 2 * L ** pair_cover_bound(c) - L
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -91,7 +84,7 @@ def vdw_upper(q: VdwQuery) -> int:
 
 def vdw_upper_report(q: VdwQuery) -> dict:
     k = ceil_log(q.L, q.M)
-    R = q.r_override if q.r_override is not None else formula_r(q.c, q.L)
+    R = q.r_override if q.r_override is not None else recurrence_formula(q.c, q.L)[0]
     E = q.exponent_override if q.exponent_override is not None else factorial(q.c)
     value = (R + 1) * q.L ** (k * E)
     return {
@@ -122,7 +115,7 @@ def vdw_lower(c: int, L: int, m: int) -> VdwLowerResult:
     """
     if c < 2 or m < 2 or L < 2:
         raise SubstitutionError("need c > 1, m > 1, L >= 2")
-    n0 = pair_cover_bound(c)
+    n0 = recurrence_formula(c, L)[1]
     ceil_b, q = ceil_growth_exponent(L)
     base = L ** (n0 + 1)
     return VdwLowerResult(base * m**ceil_b + 1, base * m ** (ceil_b + 1) + 1, n0, ceil_b, q)

@@ -45,6 +45,12 @@ def test_analyze_r_formula_over_the_decimal_digit_limit():
     assert rec["r_formula"] == "2*5^389378-5" and rec["n_bound"] == 389378
 
 
+def test_analyze_length_one_substitution_exit_1():
+    cp = run_cli("analyze", "--rules", "a -> b ; b -> a")
+    assert cp.returncode == 1
+    assert "one-letter fixed point" in cp.stderr
+
+
 def test_analyze_parse_failure_exit_1(tmp_path: Path):
     bad = tmp_path / "broken.sub"
     bad.write_text("0 -> 01 ; 1 -> 1")
@@ -104,7 +110,8 @@ def test_apscan_deterministic(tmp_path: Path):
     args = ("apscan", "--builtin", "tm:3", "--range", "1:10",
             "--initial-prefix", str(2**14), "--prefix-cap", str(2**16))
     assert run_cli(*args, "--csv", str(a)).returncode == 0
-    assert run_cli(*args, "--csv", str(b), "--jobs", "3").returncode == 0
+    assert run_cli(*args, "--csv", str(b), "--jobs", "3").returncode == 1  # option removed
+    assert run_cli(*args, "--csv", str(b)).returncode == 0
     # identical modulo the version header; byte-identical for identical config
     assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
     assert run_cli(*args, "--csv", str(c)).returncode == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apword.stream
 from apword import (
     ResourceCapError,
     ScanPolicy,
@@ -20,7 +21,13 @@ from apword import (
     upper_bound,
     verify_family,
 )
-from apword.progressions import _PACK_CHUNK, EXACT, LOWER
+from apword.progressions import (
+    _PACK_CHUNK,
+    EXACT,
+    LOWER,
+    _certification_basis,
+    palindromic_member,
+)
 from ap_oracle import max_ap_oracle
 
 SMALL = ScanPolicy(initial_prefix=2**16, prefix_cap=2**20)
@@ -184,10 +191,23 @@ def test_monotone_in_prefix_len():
             prev = cur
 
 
+def test_certification_basis_reads_no_prefix(monkeypatch):
+    requested = []
+    real_prefix = apword.stream.prefix
+
+    def spy(fp, length, *args, **kwargs):
+        requested.append(length)
+        return real_prefix(fp, length, *args, **kwargs)
+
+    monkeypatch.setattr(apword.stream, "prefix", spy)
+    periodic = parse_substitution("a -> aba ; b -> bab")
+    assert _certification_basis.__wrapped__(periodic) == (False, None)  # bypass the cache
+    assert requested == []
+
+
 def test_upper_bound_values():
     tm = get_builtin("tm:2").substitution
     assert upper_bound(tm, 5) == 64  # window exponent 3, gcd 1, N = 3
-    assert upper_bound(tm, 5, n_value=3) == 64
     tm3 = get_builtin("tm:3").substitution
     n3 = 4
     assert upper_bound(tm3, 13) == 3 ** (n3 + 3)
@@ -273,6 +293,16 @@ def test_palindrome_family_inverse_bonus():
         assert m.predicted_lower == 5**k + 2
 
 
+def test_palindromic_member_window_exponent_four():
+    b = get_builtin("c3-invpal")
+    for n, d, lower in ((1, 104, 7), (2, 15024, 27)):
+        m = palindromic_member(b.substitution, n, 4)
+        assert (m.d, m.predicted_lower) == (d, lower)  # (5^(4n) - 1) / (5^n + 1), 5^n + 2
+        res = a_of_d(b.fixed_point(), None, d, ScanPolicy(prefix_cap=2**24),
+                     hint_lower=lower)
+        assert res.best_len >= lower  # measured 9 and 29
+
+
 def test_family_inapplicable_errors():
     with pytest.raises(SubstitutionError):
         difference_families(get_builtin("a4-example").substitution, [1],
@@ -349,13 +379,6 @@ def test_scan_records_per_d_errors():
     assert rows[0].status == LOWER  # 2d+1 still fits
     assert rows[2].status.startswith("Error:")  # 2d+1 exceeds the cap
     assert rows[2].d == 2**13 + 1
-
-
-def test_scan_parallel_deterministic():
-    b = get_builtin("tm:3")
-    seq = scan(b.fixed_point(), None, 1, 24, SMALL)
-    par = scan(b.fixed_point(), None, 1, 24, SMALL, jobs=4)
-    assert seq == par
 
 
 def test_rs_difference_scaling_desk_scale():

@@ -118,8 +118,6 @@ def prefix_by_rounds(fp, length, coding=None):
     intermediate to what the remaining rounds of the power still need."""
     L = fp.sub.length
     arr = np.array([fp.seed], dtype=np.uint8)
-    if L == 1:
-        arr = np.full(length, fp.seed, dtype=np.uint8)
     rules = np.array(fp.sub.rules, dtype=np.uint8)
     while len(arr) < length:
         for j in range(fp.power):
@@ -149,8 +147,6 @@ def assert_matches_references(fp, length, coding=None):
     table = np.arange(fp.sub.size) if coding is None else np.asarray(coding.table)
     rng = random.Random(length)
     positions = {0, length - 1} | {rng.randrange(length) for _ in range(64)}
-    if fp.sub.length == 1:
-        positions = {0}  # letter_index_at reads base-L digits, which need L >= 2
     for n in sorted(positions):
         assert got[n] == table[letter_index_at(fp, n)], n
 
@@ -173,8 +169,13 @@ def test_block_prefix_length_one_substitution():
         fp = FixedPointSpec.find(sub, seed)
         assert fp.power == 2
         for coding in (None, collapse):
-            for length in (1, 2, 255, 256, 257, 1000):
-                assert_matches_references(fp, length, coding)
+            table = range(sub.size) if coding is None else coding.table
+            assert list(prefix(fp, 1, coding)) == [table[fp.seed]]
+            for length in (2, 256, 1000):  # the fixed point is the seed alone
+                with pytest.raises(SubstitutionError):
+                    prefix(fp, length, coding)
+    with pytest.raises(SubstitutionError):  # L^j never reaches 256
+        _block_table(sub)
 
 
 def test_letter_index_at_length_one_substitution():

@@ -17,7 +17,7 @@ from apword import (
     power_column,
     recurrence_constants,
 )
-from apword.substitution import base_digits
+from apword.substitution import base_digits, star_defect
 
 TM = parse_substitution("0 -> 01 ; 1 -> 10")
 
@@ -246,6 +246,17 @@ def test_recurrence_exact_huge_pair_cover_bound():
     rep = recurrence_constants(get_builtin("vandermonde:5").substitution, "exact")
     assert (rep.n_bound, rep.n_exact) == (389378, 4)
     assert rep.r_exact == 5 * rep.zeta2_exact
+
+
+@pytest.mark.parametrize("sub, defect", [
+    (get_builtin("outlook6").substitution, "is not bijective"),
+    (parse_substitution("a -> aa ; b -> bb"), "is not primitive"),
+    (parse_substitution("a -> ba ; b -> ab"), "does not have the identity as its zeroth column"),
+    (parse_substitution("a -> aba ; b -> bab"), "is not aperiodic by the 2-word criterion"),
+    (TM, None),
+])
+def test_star_defect_names_the_first_failed_condition(sub, defect):
+    assert star_defect(sub) == defect
 
 
 def test_aperiodicity():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from apword import SubstitutionError, VdwQuery, vdw_lower, vdw_upper
-from apword.vdw import ceil_growth_exponent, ceil_log, factorize, formula_r
+from apword.substitution import recurrence_formula
+from apword.vdw import ceil_growth_exponent, ceil_log, factorize
 
 
 def test_upper_known_values():
@@ -12,14 +13,14 @@ def test_upper_known_values():
     assert vdw_upper(VdwQuery(2, 2, 32, r_override=9)) == 10240
     assert vdw_upper(VdwQuery(2, 2, 64, r_override=9)) == 40960
     assert vdw_upper(VdwQuery(2, 2, 8)) == 262080  # 4095 * 4**3
-    assert formula_r(2, 2) == 4094
+    assert recurrence_formula(2, 2)[0] == 4094
 
 
 def test_upper_respects_exponent_override():
     plain = vdw_upper(VdwQuery(4, 3, 9))
     tightened = vdw_upper(VdwQuery(4, 3, 9, exponent_override=6))
     assert tightened < plain
-    assert tightened == (formula_r(4, 3) + 1) * 3 ** (2 * 6)
+    assert tightened == (recurrence_formula(4, 3)[0] + 1) * 3 ** (2 * 6)
 
 
 def test_upper_monotone_in_M():
