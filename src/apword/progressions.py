@@ -14,7 +14,7 @@ from math import gcd
 import numpy as np
 
 from .errors import ResourceCapError, SubstitutionError
-from .groups import generate_group, identity_perm, palindromicity
+from .groups import PalindromicityReport, generate_group, identity_perm, palindromicity
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
 from .stream import Coding, FixedPointSpec, prefix
 from .substitution import (
@@ -47,6 +47,23 @@ class ScanPolicy:
     r_override: int | None = None
 
 
+def _and_shifted(p: np.ndarray, shift: int) -> np.ndarray | None:
+    """p & (p >> shift) on little-endian uint64 words, or None if no bit is left.
+
+    Words past the end of p read as zero, so the result has len(p) - shift // 64
+    words. Shift counts are uint64 scalars: with a Python int, NumPy 1.x may
+    promote uint64 >> int to float64.
+    """
+    q, r = divmod(shift, 64)
+    if q >= len(p):
+        return None
+    out = p[q:] >> np.uint64(r)
+    if r:
+        out[:-1] |= p[q + 1:] << np.uint64(64 - r)
+    out &= p[:len(out)]
+    return out if out.any() else None
+
+
 def max_ap_in_prefix(word, d: int) -> APResult:
     """Exact maximum progression inside a finite word, leftmost start on ties.
 
@@ -54,8 +71,9 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     p_{k+s} = p_k & (p_k >> s*d) for every s <= k, k gallops up by doubling
     and back down by halving to the largest k with a set bit; the lowest set
     bit of that mask is the leftmost start. The mask is packed from the
-    comparisons in fixed-size chunks and held as one integer, so every step
-    reads about n/8 bytes and the step count depends on the answer, not on d.
+    comparisons in fixed-size chunks straight into an array of little-endian
+    uint64 words, so every step reads about n/8 bytes and the step count
+    depends on the answer, not on d.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
@@ -66,23 +84,25 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     if d >= n:
         return APResult(d, 1, 0, n, LOWER)
     m = n - d
-    packed = np.empty((m + 7) // 8, dtype=np.uint8)
+    mask = np.zeros((m + 63) // 64, dtype="<u8")
+    packed = mask.view(np.uint8)
     for a in range(0, m, _PACK_CHUNK):
         b = min(a + _PACK_CHUNK, m)
         packed[a // 8:(b + 7) // 8] = np.packbits(w[a:b] == w[a + d:b + d], bitorder="little")
-    mask = int.from_bytes(packed, "little")
-    del packed
-    if not mask:
+    del packed  # the view would keep the first mask alive once the gallop replaces it
+    if not mask.any():
         return APResult(d, 1, 0, n, LOWER)
     k = 1
-    while longer := mask & (mask >> (k * d)):
+    while (longer := _and_shifted(mask, k * d)) is not None:
         mask, k = longer, 2 * k
     step = k // 2
     while step:
-        if longer := mask & (mask >> (step * d)):
+        if (longer := _and_shifted(mask, step * d)) is not None:
             mask, k = longer, k + step
         step //= 2
-    return APResult(d, k + 1, (mask ^ (mask - 1)).bit_length() - 1, n, LOWER)
+    i = int((mask != 0).argmax())
+    low = int(mask[i])
+    return APResult(d, k + 1, 64 * i + (low & -low).bit_length() - 1, n, LOWER)
 
 
 class PrefixSource:
@@ -159,6 +179,14 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
            source: PrefixSource | None = None) -> APResult:
     """Scan a growing prefix until the best length is stable across a doubling.
 
+    The window doubles from its start until it reaches the cap or the best
+    length in the window equals the best length in its first half, the
+    previous window. Only the larger window is scanned: the two lengths are
+    equal exactly when a longest progression of the larger window lies in the
+    first half, and then the leftmost one does too, since it ends first. So
+    the scan stops once the leftmost witness ends before the previous window
+    does.
+
     Status is ExactUnderBound only when the substitution admits an upper bound
     and the final window is recurrence-complete for it; plateaus alone never
     certify anything.
@@ -179,13 +207,10 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
     if target is not None and target <= policy.prefix_cap:
         window = max(window, target)
     window = min(window, policy.prefix_cap)
-    best = max_ap_in_prefix(src.get(window), d)
-    while window < policy.prefix_cap:
-        window = min(2 * window, policy.prefix_cap)
-        nxt = max_ap_in_prefix(src.get(window), d)
-        stable = nxt.best_len == best.best_len
-        best = nxt
-        if stable:
+    while True:
+        head, window = window, min(2 * window, policy.prefix_cap)
+        best = max_ap_in_prefix(src.get(window), d)
+        if window == policy.prefix_cap or best.best_start + (best.best_len - 1) * d < head:
             break
     if target is not None and best.prefix_len >= target:
         best = replace(best, status=EXACT)
@@ -248,7 +273,7 @@ def _sub_families(sub: Substitution, ks, names) -> list[DifferenceFamily]:
             out.append(DifferenceFamily("tm", (k,), d, lower, upper_bound(sub, d),
                                         "cyclic-shift-refinement"))
         if "palindrome" in wanted:
-            out.append(palindromic_member(sub, k, 2))
+            out.append(_palindrome_member(sub, k, 2, pal))
     return out
 
 
@@ -260,6 +285,11 @@ def palindromic_member(sub: Substitution, n: int, ell: int) -> DifferenceFamily:
     pal = palindromicity(sub)
     if pal.g_witness is None or not group.abelian:
         raise SubstitutionError("family 'palindrome' not applicable to this substitution")
+    return _palindrome_member(sub, n, ell, pal)
+
+
+def _palindrome_member(sub: Substitution, n: int, ell: int,
+                       pal: PalindromicityReport) -> DifferenceFamily:
     L = sub.length
     d = (L ** (n * ell) - 1) // (L**n + 1)
     lower = L**n + (2 if pal.inverse_palindromic else 0)
@@ -365,7 +395,6 @@ def scan(fp: FixedPointSpec, coding: Coding | None, d_from: int, d_to: int,
     if not 1 <= d_from <= d_to:
         raise SubstitutionError("need 1 <= d_from <= d_to")
     src = PrefixSource(fp, coding)
-    src.get(min(policy.initial_prefix, policy.prefix_cap))
     rows = []
     for d in range(d_from, d_to + 1):
         try:

@@ -389,7 +389,7 @@ def min_pair_cover_power(sub: Substitution) -> int:
     if not is_primitive(sub):
         raise SubstitutionError("pair-cover power needs a primitive substitution")
     target = _legal_index_words(sub, 2)
-    bound = recurrence_formula(sub.size, sub.length)[1]
+    bound = _pair_cover_bound(sub.size)
     for n, pairs in enumerate(_pair_sets_by_level(sub), start=1):
         if all(pairs[a] >= target for a in range(sub.size)):
             return n
@@ -415,9 +415,14 @@ class RecurrenceReport:
             raise SubstitutionError("exact pair-cover power exceeds its bound")
 
 
+def _pair_cover_bound(c: int) -> int:
+    """Generic bound N on the pair-cover power of a primitive c-letter substitution."""
+    return c**4 - 2 * c**2 + 3
+
+
 def recurrence_formula(c: int, L: int) -> tuple[int, int]:
-    """Generic recurrence constant and pair-cover bound for c letters, length L."""
-    n_bound = c**4 - 2 * c**2 + 3
+    """Generic recurrence constant R = 2L^N - L and pair-cover bound N for c letters, length L."""
+    n_bound = _pair_cover_bound(c)
     return 2 * L**n_bound - L, n_bound
 
 

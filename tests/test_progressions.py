@@ -1,16 +1,20 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apword.progressions
 import apword.stream
 from apword import (
+    PrefixSource,
     ResourceCapError,
     ScanPolicy,
     SubstitutionError,
     a_of_d,
+    builtin_names,
     difference_families,
     get_builtin,
     max_ap_in_prefix,
@@ -26,11 +30,13 @@ from apword.progressions import (
     EXACT,
     LOWER,
     _certification_basis,
+    _certified_window,
     palindromic_member,
 )
 from ap_oracle import max_ap_oracle
 
 SMALL = ScanPolicy(initial_prefix=2**16, prefix_cap=2**20)
+BUILTINS = [n for n in builtin_names() if not n.endswith(":L")] + ["tm:2", "tm:3", "vandermonde:3"]
 
 
 def max_ap_by_residues(word, d: int) -> tuple[int, int]:
@@ -56,6 +62,31 @@ def max_ap_by_residues(word, d: int) -> tuple[int, int]:
         if cand_len > best_len or (cand_len == best_len and cand_start < best_start):
             best_len, best_start = cand_len, cand_start
     return best_len, best_start
+
+
+def a_of_d_by_rescan(fp, coding, d, policy=ScanPolicy(), *, hint_lower=None, source=None):
+    """Reference window schedule: scans both windows of every doubling and
+    stops when their best lengths agree.
+    """
+    src = source if source is not None else PrefixSource(fp, coding)
+    target = _certified_window(fp.sub, coding, d, policy.r_override) if fp.power == 1 else None
+    window = policy.initial_prefix
+    if hint_lower:
+        window = max(window, 64 * d * hint_lower)
+    if target is not None and target <= policy.prefix_cap:
+        window = max(window, target)
+    window = min(window, policy.prefix_cap)
+    best = max_ap_in_prefix(src.get(window), d)
+    while window < policy.prefix_cap:
+        window = min(2 * window, policy.prefix_cap)
+        nxt = max_ap_in_prefix(src.get(window), d)
+        stable = nxt.best_len == best.best_len
+        best = nxt
+        if stable:
+            break
+    if target is not None and best.prefix_len >= target:
+        best = replace(best, status=EXACT)
+    return best
 
 
 def _kernel(word, d):
@@ -153,6 +184,29 @@ def test_kernel_run_across_packing_chunk(d):
     assert best_len >= 100 and best_start < _PACK_CHUNK < best_start + (best_len - 1) * d
 
 
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 128, 129])
+def test_kernel_at_word_edges(d):
+    # n - d comparisons fill the last uint64 word partly, fully and one bit past it;
+    # shifts that are multiples of 64 and shifts past the whole mask both occur
+    rng = np.random.default_rng(d)
+    for m in range(56, 201):
+        n = m + d
+        for w in (np.zeros(n, np.uint8), rng.integers(0, 2, n).astype(np.uint8),
+                  (np.arange(n) // 3 % 2).astype(np.uint8)):
+            assert _kernel(w, d) == max_ap_oracle(list(w), d), (d, m)
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 128, 129])
+def test_kernel_run_across_word_boundary(d):
+    rng = np.random.default_rng(100 + d)
+    for boundary in (64, 128, 192):
+        for offset in (1, 2, 63):
+            w = rng.integers(0, 4, 14 * d + 256).astype(np.uint8)
+            start = boundary - offset
+            w[start:start + 12 * d:d] = 9
+            assert _kernel(w, d) == max_ap_oracle(list(w), d) == (12, start), (boundary, offset)
+
+
 def test_kernel_traced_peak_memory():
     # guards peak RSS: the per-residue kernel peaked at 1.0-7.0 n traced bytes
     b = get_builtin("rs")
@@ -166,6 +220,75 @@ def test_kernel_traced_peak_memory():
             assert peak <= 0.6 * len(w), (d, peak / len(w))
     finally:
         tracemalloc.stop()
+
+
+RESCAN_POLICIES = [
+    (ScanPolicy(initial_prefix=2**12, prefix_cap=2**16), None),
+    (ScanPolicy(initial_prefix=2**14, prefix_cap=2**14), None),  # initial == cap
+    (ScanPolicy(initial_prefix=3000, prefix_cap=5000), None),  # 2 * initial > cap
+    (ScanPolicy(initial_prefix=64, prefix_cap=2**15), None),  # d >= initial from d = 64 on
+    (ScanPolicy(initial_prefix=2**10, prefix_cap=2**16), 3),  # hint_lower
+    (ScanPolicy(initial_prefix=2**12, prefix_cap=2**18, r_override=9), None),
+]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_of_d_matches_rescan_schedule(name):
+    b = get_builtin(name)
+    fp = b.fixed_point()
+    for coding in [None, *b.codings().values()]:
+        src = PrefixSource(fp, coding)
+        for policy, hint in RESCAN_POLICIES:
+            for d in (1, 2, 3, 5, 17, 64, 65, 100, 1000, 2499):
+                got = a_of_d(fp, coding, d, policy, hint_lower=hint, source=src)
+                want = a_of_d_by_rescan(fp, coding, d, policy, hint_lower=hint, source=src)
+                assert got == want, (coding, policy, hint, d)
+
+
+class PlantedSource:
+    """Prefix source stub: letters 0/1 that never repeat at distance d, plus one
+    progression of the letter 2 with difference d. Records every request.
+    """
+
+    def __init__(self, n, d, start, length):
+        self.word = (np.arange(n) // d % 2).astype(np.uint8)
+        self.word[start:start + (length - 1) * d + 1:d] = 2
+        self.requested = []
+
+    def get(self, n):
+        self.requested.append(n)
+        return self.word[:n]
+
+
+@pytest.mark.parametrize("end, windows", [(1024, [2048, 4096]), (1023, [2048])])
+def test_a_of_d_stops_once_the_witness_ends_before_the_previous_window(end, windows):
+    # the witness ending at the previous window's end (1024) is not inside it
+    d, length = 7, 20
+    start = end - (length - 1) * d
+    b = get_builtin("rs")
+    fp, coding = b.fixed_point(), b.coding("spin")  # not injective: no certification
+    policy = ScanPolicy(initial_prefix=1024, prefix_cap=2**13)
+    src = PlantedSource(policy.prefix_cap, d, start, length)
+    res = a_of_d(fp, coding, d, policy, source=src)
+    assert (res.best_len, res.best_start, res.prefix_len) == (length, start, windows[-1])
+    assert src.requested == windows  # one window, so one kernel call, per doubling
+    rescan = PlantedSource(policy.prefix_cap, d, start, length)
+    assert a_of_d_by_rescan(fp, coding, d, policy, source=rescan) == res
+    assert rescan.requested == [1024] + windows
+
+
+def test_scan_generates_its_prefix_once(monkeypatch):
+    lengths = []
+    real_prefix = apword.progressions.prefix
+
+    def spy(fp, length, coding=None):
+        lengths.append(length)
+        return real_prefix(fp, length, coding)
+
+    monkeypatch.setattr(apword.progressions, "prefix", spy)
+    b = get_builtin("rs")
+    scan(b.fixed_point(), b.coding("spin"), 1, 100, SMALL)
+    assert lengths == [2 * SMALL.initial_prefix]  # no pre-warm at the initial window
 
 
 def test_tm_cube_free():
@@ -301,6 +424,25 @@ def test_palindromic_member_window_exponent_four():
         res = a_of_d(b.fixed_point(), None, d, ScanPolicy(prefix_cap=2**24),
                      hint_lower=lower)
         assert res.best_len >= lower  # measured 9 and 29
+
+
+def test_families_compute_the_group_once(monkeypatch):
+    calls = []
+    real_generate_group = apword.progressions.generate_group
+
+    def spy(sub):
+        calls.append(sub)
+        return real_generate_group(sub)
+
+    monkeypatch.setattr(apword.progressions, "generate_group", spy)
+    c3 = get_builtin("c3-invpal").substitution
+    counts = []
+    for ks in ([1], range(1, 9)):
+        _certification_basis.cache_clear()
+        calls.clear()
+        assert {m.name for m in difference_families(c3, ks)} == {"identity", "palindrome"}
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_family_inapplicable_errors():

@@ -1,5 +1,6 @@
 import pytest
 
+import apword.substitution
 from apword import (
     ParseError,
     ResourceCapError,
@@ -221,6 +222,15 @@ def test_recurrence_exact_minimality():
 def test_recurrence_exact_known_n():
     assert min_pair_cover_power(get_builtin("c3-invpal").substitution) == 2
     assert min_pair_cover_power(get_builtin("tm:3").substitution) == 4
+
+
+def test_min_pair_cover_power_builds_no_recurrence_constant(monkeypatch):
+    def fail(c, L):
+        raise AssertionError("recurrence_formula builds R = 2L^N - L")
+
+    monkeypatch.setattr(apword.substitution, "recurrence_formula", fail)
+    assert min_pair_cover_power(get_builtin("tm:3").substitution) == 4
+    assert min_pair_cover_power(TM) == 3
 
 
 def test_recurrence_exact_cap_diagnostic():
