@@ -29,6 +29,7 @@ from .vdw import min_prime_power
 EXACT = "ExactUnderBound"
 LOWER = "LowerBoundOnly"
 _PACK_CHUNK = 2**20  # letters compared per packing step; a multiple of 8 keeps it byte-aligned
+_SPARSE_SHARE = 16  # the gallop lists the non-zero mask words once under 1/16 of them are left
 
 
 @dataclass(frozen=True)
@@ -46,22 +47,60 @@ class ScanPolicy:
     prefix_cap: int = 2**26
     r_override: int | None = None
 
+    def __post_init__(self):
+        # R < 1 would make every window "recurrence-complete" and certify anything
+        if self.initial_prefix < 1 or self.prefix_cap < 1:
+            raise SubstitutionError("initial prefix and prefix cap must be >= 1")
+        if self.r_override is not None and self.r_override < 1:
+            raise SubstitutionError("recurrence constant must be >= 1")
 
-def _and_shifted(p: np.ndarray, shift: int) -> np.ndarray | None:
-    """p & (p >> shift) on little-endian uint64 words, or None if no bit is left.
 
-    Words past the end of p read as zero, so the result has len(p) - shift // 64
-    words. Shift counts are uint64 scalars: with a Python int, NumPy 1.x may
-    promote uint64 >> int to float64.
+def _survivors(p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """(p, idx) for a mask p of uint64 words, or None if no bit is set.
+
+    idx lists the non-zero words once fewer than 1/_SPARSE_SHARE of them are
+    left, and is None while the mask is still dense.
+    """
+    alive = np.count_nonzero(p)
+    if not alive:
+        return None
+    return p, (np.flatnonzero(p) if alive * _SPARSE_SHARE < len(p) else None)
+
+
+def _and_shifted(p: np.ndarray, idx: np.ndarray | None,
+                 shift: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """p & (p >> shift) on little-endian uint64 words, as the next (p, idx).
+
+    Words past the end of p read as zero; None means no bit is left. A dense
+    step (idx is None) returns a new mask of len(p) - shift // 64 words. A
+    sparse step reads only the words at the sorted indices idx, the only
+    non-zero words of p, and writes the survivors back into p in place. Shift
+    counts are uint64 scalars: with a Python int, NumPy 1.x may promote
+    uint64 >> int to float64.
     """
     q, r = divmod(shift, 64)
     if q >= len(p):
         return None
-    out = p[q:] >> np.uint64(r)
+    if idx is None:
+        out = p[q:] >> np.uint64(r)
+        if r:
+            out[:-1] |= p[q + 1:] << np.uint64(64 - r)
+        out &= p[:len(out)]
+        return _survivors(out)
+    keep = idx[:np.searchsorted(idx, len(p) - q)]
+    j = keep + q
+    out = p[j] >> np.uint64(r)
     if r:
-        out[:-1] |= p[q + 1:] << np.uint64(64 - r)
-    out &= p[:len(out)]
-    return out if out.any() else None
+        c = np.searchsorted(keep, len(p) - q - 1)  # from c on, word j + 1 is past the end
+        out[:c] |= p[j[:c] + 1] << np.uint64(64 - r)
+    out &= p[keep]
+    alive = out != 0
+    if not alive.any():
+        return None
+    p[idx] = 0
+    keep = keep[alive]
+    p[keep] = out[alive]
+    return p, keep
 
 
 def max_ap_in_prefix(word, d: int) -> APResult:
@@ -72,12 +111,17 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     and back down by halving to the largest k with a set bit; the lowest set
     bit of that mask is the leftmost start. The mask is packed from the
     comparisons in fixed-size chunks straight into an array of little-endian
-    uint64 words, so every step reads about n/8 bytes and the step count
-    depends on the answer, not on d.
+    uint64 words. A call takes O(log A(d)) steps whatever d is. While the
+    mask is dense a step reads about n/8 bytes; once fewer than 1/16 of its
+    words are non-zero, their indices are listed and every later step reads
+    only those words, updating the mask in place, so no second mask-sized
+    array is ever needed for the sparse tail.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
     w = np.asarray(word)
+    if w.ndim != 1:
+        raise SubstitutionError("word must be one-dimensional")
     n = len(w)
     if n == 0:
         raise SubstitutionError("word must be non-empty")
@@ -89,18 +133,20 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     for a in range(0, m, _PACK_CHUNK):
         b = min(a + _PACK_CHUNK, m)
         packed[a // 8:(b + 7) // 8] = np.packbits(w[a:b] == w[a + d:b + d], bitorder="little")
-    del packed  # the view would keep the first mask alive once the gallop replaces it
-    if not mask.any():
+    state = _survivors(mask)
+    del packed, mask  # either name would keep the first mask alive once the gallop replaces it
+    if state is None:
         return APResult(d, 1, 0, n, LOWER)
     k = 1
-    while (longer := _and_shifted(mask, k * d)) is not None:
-        mask, k = longer, 2 * k
+    while (longer := _and_shifted(*state, k * d)) is not None:
+        state, k = longer, 2 * k
     step = k // 2
     while step:
-        if (longer := _and_shifted(mask, step * d)) is not None:
-            mask, k = longer, k + step
+        if (longer := _and_shifted(*state, step * d)) is not None:
+            state, k = longer, k + step
         step //= 2
-    i = int((mask != 0).argmax())
+    mask, idx = state
+    i = int(idx[0]) if idx is not None else int((mask != 0).argmax())
     low = int(mask[i])
     return APResult(d, k + 1, 64 * i + (low & -low).bit_length() - 1, n, LOWER)
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -118,6 +120,26 @@ def test_apscan_deterministic(tmp_path: Path):
     assert a.read_text().splitlines()[1:] == c.read_text().splitlines()[1:]
     assert a.read_bytes()[a.read_bytes().find(b"\n"):] == \
         c.read_bytes()[c.read_bytes().find(b"\n"):]
+
+
+@pytest.mark.parametrize("source", [("--builtin", "tm:2"),
+                                    ("--builtin", "rs", "--coding", "spin")])
+@pytest.mark.parametrize("bad", [("--r-override", "-5"), ("--r-override", "0"),
+                                 ("--initial-prefix", "0"), ("--initial-prefix", "-8"),
+                                 ("--prefix-cap", "0")])
+def test_apscan_rejects_meaningless_policy_exit_1(source, bad):
+    # R <= 0 once certified any window; prefix lengths < 1 were ignored or failed late
+    cp = run_cli("apscan", *source, "--range", "40:44", "--prefix-cap", "4096",
+                 "--initial-prefix", "1024", *bad)
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert "must be >= 1" in cp.stderr
+
+
+def test_verify_rejects_meaningless_r_override_exit_1():
+    cp = run_cli("verify", "--builtin", "tm:2", "--families", "identity",
+                 "--k-range", "1:3", "--r-override", "0")
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert "recurrence constant must be >= 1" in cp.stderr
 
 
 def test_prefix_text_and_u8(tmp_path: Path):

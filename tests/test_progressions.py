@@ -64,6 +64,42 @@ def max_ap_by_residues(word, d: int) -> tuple[int, int]:
     return best_len, best_start
 
 
+def max_ap_dense(word, d: int) -> tuple[int, int]:
+    """Reference for the sparse tail: the same doubling-and-halving gallop with
+    every step over the whole mask of little-endian uint64 words.
+    """
+    w = np.asarray(word)
+    n = len(w)
+    if d >= n:
+        return 1, 0
+    packed = np.packbits(w[:-d] == w[d:], bitorder="little")
+    mask = np.concatenate([packed, np.zeros(-len(packed) % 8, np.uint8)]).view("<u8")
+
+    def and_shifted(p, shift):
+        q, r = divmod(shift, 64)
+        if q >= len(p):
+            return None
+        out = p[q:] >> np.uint64(r)
+        if r:
+            out[:-1] |= p[q + 1:] << np.uint64(64 - r)
+        out &= p[:len(out)]
+        return out if out.any() else None
+
+    if not mask.any():
+        return 1, 0
+    k = 1
+    while (longer := and_shifted(mask, k * d)) is not None:
+        mask, k = longer, 2 * k
+    step = k // 2
+    while step:
+        if (longer := and_shifted(mask, step * d)) is not None:
+            mask, k = longer, k + step
+        step //= 2
+    i = int((mask != 0).argmax())
+    low = int(mask[i])
+    return k + 1, 64 * i + (low & -low).bit_length() - 1
+
+
 def a_of_d_by_rescan(fp, coding, d, policy=ScanPolicy(), *, hint_lower=None, source=None):
     """Reference window schedule: scans both windows of every doubling and
     stops when their best lengths agree.
@@ -105,6 +141,12 @@ def test_max_ap_degenerate():
     assert res.best_len == 1 and res.best_start == 0
     with pytest.raises(SubstitutionError):
         max_ap_in_prefix(np.array([], dtype=np.uint8), 1)
+
+
+@pytest.mark.parametrize("word", [np.zeros((4, 5)), np.uint8(3)])
+def test_max_ap_rejects_word_that_is_not_one_dimensional(word):
+    with pytest.raises(SubstitutionError, match="one-dimensional"):
+        max_ap_in_prefix(word, 1)
 
 
 def test_max_ap_leftmost_tie_break():
@@ -207,17 +249,77 @@ def test_kernel_run_across_word_boundary(d):
             assert _kernel(w, d) == max_ap_oracle(list(w), d) == (12, start), (boundary, offset)
 
 
-def test_kernel_traced_peak_memory():
+def _sparse_word_counts(monkeypatch) -> list[int]:
+    """Spy on the gallop: the number of listed words after every sparse step."""
+    counts = []
+    real = apword.progressions._and_shifted
+
+    def spy(p, idx, shift):
+        res = real(p, idx, shift)
+        if res is not None and res[1] is not None:
+            counts.append(len(res[1]))
+        return res
+
+    monkeypatch.setattr(apword.progressions, "_and_shifted", spy)
+    return counts
+
+
+SPARSE_N = 2**20 + 37  # random 3-letter words: runs of about 13 terms, so the tail turns sparse
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 1025, 8193])
+@pytest.mark.parametrize("where", ["last word", "word boundary", "only survivor"])
+def test_kernel_sparse_tail_matches_references(monkeypatch, d, where):
+    rng = np.random.default_rng(d)
+    w = rng.integers(0, 3, SPARSE_N).astype(np.uint8)
+    m = SPARSE_N - d  # mask bits
+    if where == "last word":  # its last comparison is the last bit of the mask
+        length = 18
+        start = SPARSE_N - 1 - (length - 1) * d
+    elif where == "word boundary":
+        length = 18
+        start = 64 * (m // 128) - 3
+    else:  # no other run survives the first sparse step
+        length = 100
+        start = (SPARSE_N - (length - 1) * d) // 3
+    w[start:start + (length - 1) * d + 1:d] = 3
+    counts = _sparse_word_counts(monkeypatch)
+    got = _kernel(w, d)
+    assert counts, "the gallop never reached its sparse tail"
+    assert got == max_ap_dense(w, d) == max_ap_by_residues(w, d) == (length, start)
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 129])
+def test_kernel_sparse_from_the_first_mask_at_the_last_words(monkeypatch, d):
+    # only the planted run repeats at distance d, so the packed mask is sparse
+    # at once; its end moves through the last two words of the mask
+    counts = _sparse_word_counts(monkeypatch)
+    for tail in (0, 1, 5, 63):
+        n = 64 * 4096 + tail + d
+        for length in (30, 100):
+            for before_end in (0, 1, 2, 70):
+                start = n - 1 - before_end - (length - 1) * d
+                w = PlantedSource(n, d, start, length).word
+                counts.clear()
+                assert _kernel(w, d) == max_ap_dense(w, d) == (length, start), \
+                    (tail, length, before_end)
+                assert counts, "the gallop never reached its sparse tail"
+
+
+def test_kernel_traced_peak_memory(monkeypatch):
     # guards peak RSS: the per-residue kernel peaked at 1.0-7.0 n traced bytes
     b = get_builtin("rs")
     w = prefix(b.fixed_point(), 2**24, b.coding("spin"))
+    counts = _sparse_word_counts(monkeypatch)
     tracemalloc.start()
     try:
-        for d in (1, 3, 64, 1025, 4097):
+        for d in (1, 3, 64, 1025, 4097, 8193):
+            counts.clear()
             tracemalloc.reset_peak()
             max_ap_in_prefix(w, d)
             peak = tracemalloc.get_traced_memory()[1]
             assert peak <= 0.6 * len(w), (d, peak / len(w))
+            assert counts or d < 1025, "the gallop never reached its sparse tail"
     finally:
         tracemalloc.stop()
 
