@@ -28,7 +28,8 @@ from .vdw import min_prime_power
 
 EXACT = "ExactUnderBound"
 LOWER = "LowerBoundOnly"
-_PACK_CHUNK = 2**20  # letters compared per packing step; a multiple of 8 keeps it byte-aligned
+_PACK_CHUNK = 2**20  # letters packed per step; a multiple of 8 keeps it byte-aligned
+_BLOCK = 2**15  # mask words per block of a dense step: 256 KiB, so a block's operands stay in L2
 _SPARSE_SHARE = 16  # the gallop lists the non-zero mask words once under 1/16 of them are left
 
 
@@ -55,38 +56,118 @@ class ScanPolicy:
             raise SubstitutionError("recurrence constant must be >= 1")
 
 
-def _survivors(p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """(p, idx) for a mask p of uint64 words, or None if no bit is set.
+@dataclass(frozen=True, eq=False)
+class PackedWord:
+    """The first n letters of a word as little-endian uint64 bit planes.
 
-    idx lists the non-zero words once fewer than 1/_SPARSE_SHARE of them are
-    left, and is None while the mask is still dense.
+    Bit i of planes[b] is bit b of letter i. Letters below c take
+    ceil(log2 c) planes, and at least one. Every plane ends in a zero guard
+    word past the packed letters, so a shifted read of the word after the
+    last one stays in bounds. PackedWord(w.planes, n) is a view of the first
+    n letters of w: it shares the planes, whose bits from n on are the later
+    letters, not zeros.
     """
-    alive = np.count_nonzero(p)
-    if not alive:
+    planes: np.ndarray
+    n: int
+
+    @classmethod
+    def pack(cls, word) -> PackedWord:
+        w = np.asarray(word)
+        if w.ndim != 1:
+            raise SubstitutionError("word must be one-dimensional")
+        n = len(w)
+        if n == 0:
+            raise SubstitutionError("word must be non-empty")
+        if w.dtype.kind not in "bui" or (w.dtype.kind == "i" and w.min() < 0):
+            raise SubstitutionError("letters must be non-negative integers")
+        bits = max(1, int(w.max()).bit_length())
+        planes = np.zeros((bits, (n + 63) // 64 + 1), "<u8")
+        as_bytes = planes.view(np.uint8)
+        for a in range(0, n, _PACK_CHUNK):
+            chunk = w[a:a + _PACK_CHUNK]
+            for b in range(bits):  # with one plane, the letters are its bits
+                bit = chunk if bits == 1 else chunk & w.dtype.type(1 << b)
+                as_bytes[b, a // 8:(a + len(chunk) + 7) // 8] = np.packbits(bit, bitorder="little")
+        return cls(planes, n)
+
+
+def _shift_into(out: np.ndarray, src: np.ndarray, start: int, r: int,
+                carry: np.ndarray) -> None:
+    """out = the words of src from start on, shifted down by r < 64 bits.
+
+    src must hold the word after the last one read. carry is scratch of at
+    least len(out) words. Shift counts are uint64 scalars: with a Python int,
+    NumPy 1.x may promote uint64 >> int to float64.
+    """
+    np.right_shift(src[start:start + len(out)], np.uint64(r), out=out)
+    if r:
+        c = carry[:len(out)]
+        np.left_shift(src[start + 1:start + 1 + len(out)], np.uint64(64 - r), out=c)
+        out |= c
+
+
+def _first_mask(word: PackedWord, d: int, mask: np.ndarray, scratch: np.ndarray,
+                carry: np.ndarray) -> int:
+    """Write p_1 into mask block by block and count its non-zero words.
+
+    Letters i and i + d are equal iff no plane differs there, so p_1 is
+    ~OR_b(plane_b ^ (plane_b >> d)). Its bits from n - d on compare letters
+    past the view, or the zeros past the word, and are cleared. The last word
+    of mask is left as a zero guard word; scratch is a second buffer as long.
+    """
+    m, size = word.n - d, len(mask) - 1
+    q, r = divmod(d, 64)
+    alive = 0
+    for a in range(0, size, _BLOCK):
+        o = mask[a:min(a + _BLOCK, size)]
+        for b, plane in enumerate(word.planes):
+            x = scratch[:len(o)] if b else o
+            _shift_into(x, plane, a + q, r, carry)
+            x ^= plane[a:a + len(o)]
+            if b:
+                o |= x
+        np.invert(o, out=o)
+        if a + len(o) == size and m % 64:
+            o[-1] &= np.uint64((1 << m % 64) - 1)
+        alive += np.count_nonzero(o)
+    mask[size] = 0
+    return alive
+
+
+def _dense_step(p: np.ndarray, spare: np.ndarray, carry: np.ndarray,
+                shift: int) -> tuple[np.ndarray, int] | None:
+    """p & (p >> shift) on a dense mask, written into spare block by block.
+
+    The last word of p is a zero guard word. Returns the new mask, a view of
+    spare with a guard word of its own, and its number of non-zero words; None
+    if the shift is past the end of p.
+    """
+    q, r = divmod(shift, 64)
+    m = len(p) - 1 - q
+    if m <= 0:
         return None
-    return p, (np.flatnonzero(p) if alive * _SPARSE_SHARE < len(p) else None)
+    out = spare[:m + 1]
+    alive = 0
+    for a in range(0, m, _BLOCK):
+        o = out[a:min(a + _BLOCK, m)]
+        _shift_into(o, p, a + q, r, carry)
+        o &= p[a:a + len(o)]
+        alive += np.count_nonzero(o)
+    out[m] = 0
+    return out, alive
 
 
-def _and_shifted(p: np.ndarray, idx: np.ndarray | None,
-                 shift: int) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """p & (p >> shift) on little-endian uint64 words, as the next (p, idx).
+def _sparse_step(p: np.ndarray, idx: np.ndarray,
+                 shift: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """p & (p >> shift) in place on p, whose only non-zero words are at the sorted idx.
 
-    Words past the end of p read as zero; None means no bit is left. A dense
-    step (idx is None) returns a new mask of len(p) - shift // 64 words. A
-    sparse step reads only the words at the sorted indices idx, the only
-    non-zero words of p, and writes the survivors back into p in place. Shift
-    counts are uint64 scalars: with a Python int, NumPy 1.x may promote
-    uint64 >> int to float64.
+    Words past the end of p read as zero. Only the listed words are read; the
+    survivors are written back into p. Returns (p, the indices of its non-zero
+    words), or None if no bit is left, which leaves p as it was.
     """
     q, r = divmod(shift, 64)
     if q >= len(p):
         return None
-    if idx is None:
-        out = p[q:] >> np.uint64(r)
-        if r:
-            out[:-1] |= p[q + 1:] << np.uint64(64 - r)
-        out &= p[:len(out)]
-        return _survivors(out)
     keep = idx[:np.searchsorted(idx, len(p) - q)]
     j = keep + q
     out = p[j] >> np.uint64(r)
@@ -103,66 +184,92 @@ def _and_shifted(p: np.ndarray, idx: np.ndarray | None,
     return p, keep
 
 
+def _gallop_state(p: np.ndarray, alive: int, spare: np.ndarray):
+    """(p, idx, spare) for a dense mask p with its guard word and `alive` non-zero words.
+
+    Once fewer than 1/_SPARSE_SHARE of the words are non-zero, p loses its
+    guard word, idx lists the non-zero words and the spare buffer is let go.
+    Until then idx is None.
+    """
+    if alive * _SPARSE_SHARE < len(p) - 1:
+        return p[:-1], np.flatnonzero(p[:-1]), None
+    return p, None, spare
+
+
+def _and_shifted(state, shift: int, carry: np.ndarray):
+    """The gallop state after p & (p >> shift), or None if no bit is left."""
+    p, idx, spare = state
+    if idx is not None:
+        longer = _sparse_step(p, idx, shift)
+        return None if longer is None else (*longer, None)
+    longer = _dense_step(p, spare, carry, shift)
+    if longer is None or not longer[1]:
+        return None
+    return _gallop_state(*longer, p)
+
+
 def max_ap_in_prefix(word, d: int) -> APResult:
     """Exact maximum progression inside a finite word, leftmost start on ties.
 
-    Bit i of the mask p_k is set iff w[i] == w[i+d] == ... == w[i+k*d]. Since
-    p_{k+s} = p_k & (p_k >> s*d) for every s <= k, k gallops up by doubling
-    and back down by halving to the largest k with a set bit; the lowest set
-    bit of that mask is the leftmost start. The mask is packed from the
-    comparisons in fixed-size chunks straight into an array of little-endian
-    uint64 words. A call takes O(log A(d)) steps whatever d is. While the
-    mask is dense a step reads about n/8 bytes; once fewer than 1/16 of its
-    words are non-zero, their indices are listed and every later step reads
-    only those words, updating the mask in place, so no second mask-sized
-    array is ever needed for the sparse tail.
+    word is an array of non-negative integer letters, packed into bit planes
+    on entry, or a PackedWord. Bit i of the mask p_k is set iff
+    w[i] == w[i+d] == ... == w[i+k*d]. Since p_{k+s} = p_k & (p_k >> s*d) for
+    every s <= k, k gallops up by doubling and back down by halving to the
+    largest k with a set bit; the lowest set bit of that mask is the leftmost
+    start. A call takes O(log A(d)) steps whatever d is. p_1 is built from
+    the planes, and while the mask is dense each step writes it block by
+    block into the other of two buffers allocated once per call. Once fewer
+    than 1/16 of its words are non-zero, their indices are listed and every
+    later step reads only those words, updating the mask in place.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
-    w = np.asarray(word)
-    if w.ndim != 1:
-        raise SubstitutionError("word must be one-dimensional")
-    n = len(w)
-    if n == 0:
-        raise SubstitutionError("word must be non-empty")
+    packed = word if isinstance(word, PackedWord) else PackedWord.pack(word)
+    n = packed.n
     if d >= n:
         return APResult(d, 1, 0, n, LOWER)
-    m = n - d
-    mask = np.zeros((m + 63) // 64, dtype="<u8")
-    packed = mask.view(np.uint8)
-    for a in range(0, m, _PACK_CHUNK):
-        b = min(a + _PACK_CHUNK, m)
-        packed[a // 8:(b + 7) // 8] = np.packbits(w[a:b] == w[a + d:b + d], bitorder="little")
-    state = _survivors(mask)
-    del packed, mask  # either name would keep the first mask alive once the gallop replaces it
-    if state is None:
+    size = (n - d + 63) // 64
+    mask, spare = np.empty(size + 1, "<u8"), np.empty(size + 1, "<u8")
+    carry = np.empty(min(size, _BLOCK), "<u8")
+    alive = _first_mask(packed, d, mask, spare, carry)
+    if not alive:
         return APResult(d, 1, 0, n, LOWER)
+    state = _gallop_state(mask, alive, spare)
+    del packed, mask, spare  # a name left bound would keep its array alive through the gallop
     k = 1
-    while (longer := _and_shifted(*state, k * d)) is not None:
+    while (longer := _and_shifted(state, k * d, carry)) is not None:
         state, k = longer, 2 * k
     step = k // 2
     while step:
-        if (longer := _and_shifted(*state, step * d)) is not None:
+        if (longer := _and_shifted(state, step * d, carry)) is not None:
             state, k = longer, k + step
         step //= 2
-    mask, idx = state
-    i = int(idx[0]) if idx is not None else int((mask != 0).argmax())
-    low = int(mask[i])
+    p, idx, _ = state
+    i = int(idx[0]) if idx is not None else int((p != 0).argmax())
+    low = int(p[i])
     return APResult(d, k + 1, 64 * i + (low & -low).bit_length() - 1, n, LOWER)
 
 
 class PrefixSource:
-    """Grow-once cache of a (coded) fixed-point prefix shared across scans."""
+    """Grow-once cache of a (coded) fixed-point prefix, packed into bit planes.
+
+    The prefix is packed once per growth and its letters are not kept. get(n)
+    returns a PackedWord view of the first n letters that shares the cached
+    planes, so every d scanned on the same prefix reuses one packing.
+    """
 
     def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
         self.fp = fp
         self.coding = coding
-        self._arr: np.ndarray | None = None
+        self._word: PackedWord | None = None
 
-    def get(self, n: int) -> np.ndarray:
-        if self._arr is None or len(self._arr) < n:
-            self._arr = prefix(self.fp, n, self.coding)
-        return self._arr[:n]
+    def get(self, n: int) -> PackedWord:
+        if n < 1:
+            raise SubstitutionError("prefix length must be >= 1")
+        if self._word is None or self._word.n < n:
+            self._word = None  # let the shorter planes go before the longer prefix is built
+            self._word = PackedWord.pack(prefix(self.fp, n, self.coding))
+        return PackedWord(self._word.planes, n)
 
 
 @lru_cache(maxsize=None)

@@ -26,9 +26,11 @@ from apword import (
     verify_family,
 )
 from apword.progressions import (
+    _BLOCK,
     _PACK_CHUNK,
     EXACT,
     LOWER,
+    PackedWord,
     _certification_basis,
     _certified_window,
     palindromic_member,
@@ -252,15 +254,15 @@ def test_kernel_run_across_word_boundary(d):
 def _sparse_word_counts(monkeypatch) -> list[int]:
     """Spy on the gallop: the number of listed words after every sparse step."""
     counts = []
-    real = apword.progressions._and_shifted
+    real = apword.progressions._sparse_step
 
     def spy(p, idx, shift):
         res = real(p, idx, shift)
-        if res is not None and res[1] is not None:
+        if res is not None:
             counts.append(len(res[1]))
         return res
 
-    monkeypatch.setattr(apword.progressions, "_and_shifted", spy)
+    monkeypatch.setattr(apword.progressions, "_sparse_step", spy)
     return counts
 
 
@@ -322,6 +324,124 @@ def test_kernel_traced_peak_memory(monkeypatch):
             assert counts or d < 1025, "the gallop never reached its sparse tail"
     finally:
         tracemalloc.stop()
+
+
+def test_kernel_packed_peak_memory(monkeypatch):
+    # fed planes packed beforehand, a call holds two mask buffers of n/8 bytes each
+    b = get_builtin("rs")
+    word = PackedWord.pack(prefix(b.fixed_point(), 2**24, b.coding("spin")))
+    counts = _sparse_word_counts(monkeypatch)
+    tracemalloc.start()
+    try:
+        for d in (1, 3, 64, 1025, 4097, 8193):
+            counts.clear()
+            tracemalloc.reset_peak()
+            max_ap_in_prefix(word, d)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= 0.35 * word.n, (d, peak / word.n)
+            assert counts or d < 1025, "the gallop never reached its sparse tail"
+    finally:
+        tracemalloc.stop()
+
+
+def test_prefix_source_keeps_planes_only(monkeypatch):
+    lengths = []
+    real_prefix = apword.progressions.prefix
+
+    def spy(fp, length, coding=None):
+        lengths.append(length)
+        return real_prefix(fp, length, coding)
+
+    monkeypatch.setattr(apword.progressions, "prefix", spy)
+    b = get_builtin("tm:3")
+    src = PrefixSource(b.fixed_point())
+    longer = src.get(5000)
+    assert not [v for v in vars(src).values() if isinstance(v, np.ndarray)]
+    assert longer.n == 5000 and longer.planes.shape == (2, (5000 + 63) // 64 + 1)  # letters 0..2, guard word
+    assert longer.planes.dtype == np.dtype("<u8")
+    shorter = src.get(3000)
+    assert shorter.n == 3000 and shorter.planes is longer.planes
+    assert lengths == [5000]
+    for bad in (0, -1):
+        with pytest.raises(SubstitutionError):
+            src.get(bad)
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 1025])
+def test_kernel_on_views_of_a_longer_word(d):
+    # every (n - d) mod 64, so the last mask word ends on each bit; the bits
+    # past n - d are letters of the longer word and must be cleared
+    rng = np.random.default_rng(d)
+    longest = d + 64 * 20 + 64 + 200
+    words = [np.zeros(longest, np.uint8), rng.integers(0, 3, longest).astype(np.uint8),
+             (np.arange(longest) // 7 % 2).astype(np.uint8)]
+    for w in words:
+        packed = PackedWord.pack(w)
+        for t in range(64):
+            n = d + 64 * 20 + t
+            got = max_ap_in_prefix(PackedWord(packed.planes, n), d)
+            assert got.prefix_len == n
+            assert (got.best_len, got.best_start) == _kernel(w[:n], d) \
+                == max_ap_by_residues(w[:n], d), t
+
+
+@pytest.mark.parametrize("name", ["rs", "tm:3", "hadamard4"])
+def test_kernel_on_prefix_source_views(name):
+    b = get_builtin(name)
+    fp = b.fixed_point()
+    for coding in [None, *b.codings().values()]:
+        w = prefix(fp, 6000, coding)
+        src = PrefixSource(fp, coding)
+        src.get(len(w))
+        for d in (1, 63, 64, 65, 1025):
+            for n in range(d + 1280, d + 1344):
+                got = max_ap_in_prefix(src.get(n), d)
+                assert (got.best_len, got.best_start) == _kernel(w[:n], d) \
+                    == max_ap_by_residues(w[:n], d), (coding, d, n)
+
+
+@pytest.mark.parametrize("d", [1, 65, 1025])
+def test_kernel_run_across_dense_block(d):
+    # mask word 64 * _BLOCK starts the second block of the first mask and of
+    # every dense step; random 3-letter words keep the mask dense for a while
+    boundary = 64 * _BLOCK
+    rng = np.random.default_rng(7 + d)
+    w = rng.integers(0, 3, boundary + 200 * d + 64).astype(np.uint8)
+    for start in (boundary - 30 * d - 1, boundary - 1, boundary + 64 - 60 * d):
+        planted = w.copy()
+        planted[start:start + 59 * d + 1:d] = 3
+        assert _kernel(planted, d) == max_ap_dense(planted, d) == (60, start), start
+    assert _kernel(w, d) == max_ap_by_residues(w, d)
+
+
+@pytest.mark.parametrize("bits", [3, 4, 5, 6, 7, 8])
+def test_kernel_on_wide_alphabets(bits):
+    # letters that differ in one bit only, so a plane left out would merge them
+    rng = np.random.default_rng(bits)
+    letters = np.array([0, 2**bits - 1] + [1 << b for b in range(bits)], np.uint8)
+    w = letters[rng.integers(0, len(letters), 3000)]
+    w[100:100 + 40 * 9:9] = 2**bits - 1
+    assert PackedWord.pack(w).planes.shape[0] == bits
+    for d in (1, 2, 9, 64, 65, 700):
+        assert _kernel(w, d) == max_ap_by_residues(w, d) == max_ap_oracle(list(w), d), d
+
+
+def test_kernel_on_a_nine_bit_letter():
+    rng = np.random.default_rng(9)
+    w = rng.integers(0, 2, 4000).astype(np.int64) * 256  # letters 0 and 256 differ in plane 8 only
+    w[7:7 + 30 * 5:5] = 256 + 1
+    assert PackedWord.pack(w).planes.shape[0] == 9
+    for d in (1, 5, 64, 129):
+        assert _kernel(w, d) == max_ap_by_residues(w, d) == max_ap_oracle(list(w), d), d
+
+
+@pytest.mark.parametrize("word", [np.array([1, -1, 1]), np.array([0.0, 1.0, 0.0]),
+                                  np.array([0.5, 0.5]), np.array(["a", "b", "a"]),
+                                  ["a", "b"], [0, -3]])
+@pytest.mark.parametrize("d", [1, 5])
+def test_max_ap_rejects_letters_that_are_not_non_negative_integers(word, d):
+    with pytest.raises(SubstitutionError, match="non-negative integers"):
+        max_ap_in_prefix(word, d)
 
 
 RESCAN_POLICIES = [
