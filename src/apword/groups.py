@@ -156,6 +156,11 @@ class WitnessReport:
     base_length: int
 
 
+def identity_difference(L: int, k: int, e: int) -> int:
+    """Spacing (L^(ke) - 1)/(L^k - 1) of the identity columns at level ke, e the group exponent."""
+    return (L ** (k * e) - 1) // (L**k - 1)
+
+
 def identity_column_witness(sub: Substitution, k: int) -> WitnessReport:
     """Positions of identity columns spaced in arithmetic progression.
 
@@ -172,7 +177,7 @@ def identity_column_witness(sub: Substitution, k: int) -> WitnessReport:
     group = generate_group(base)
     e = group.exponent
     Lb = base.length
-    d = (Lb ** (k * e) - 1) // (Lb**k - 1)
+    d = identity_difference(Lb, k, e)
     ident = identity_perm(base.size)
     positions = []
     for m in range(Lb**k):

@@ -14,7 +14,13 @@ from math import gcd
 import numpy as np
 
 from .errors import ResourceCapError, SubstitutionError
-from .groups import PalindromicityReport, generate_group, identity_perm, palindromicity
+from .groups import (
+    PalindromicityReport,
+    generate_group,
+    identity_difference,
+    identity_perm,
+    palindromicity,
+)
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
 from .stream import Coding, FixedPointSpec, prefix
 from .substitution import (
@@ -417,7 +423,7 @@ def _sub_families(sub: Substitution, ks, names) -> list[DifferenceFamily]:
         if k < 1:
             raise SubstitutionError("family parameters must be >= 1")
         if "identity" in wanted:
-            d = (L ** (k * e) - 1) // (L**k - 1)
+            d = identity_difference(L, k, e)
             out.append(DifferenceFamily(
                 "identity", (k,), d, L**k, upper_bound(sub, d), "identity-columns"))
         if "tm" in wanted:
@@ -462,9 +468,9 @@ def _spin_families(sys: SpinSystem, ks, names) -> list[DifferenceFamily]:
         kinds["plus"] = ("spin-matrix", lambda n: (4**n + 1, 4 ** (n - 1) + 2, None))
         kinds["minus"] = ("spin-matrix", lambda n: (4**n - 1, 4 ** (n - 1) + 3, None))
         kinds["pow"] = ("digit-scaling", lambda n: (4**n, 6, 6))
-    elif sys == vandermonde(L):
+    elif L >= 2 and sys == vandermonde(L):
         kinds["vandermonde"] = ("spin-matrix", lambda n: (
-            (L ** (n * L) - 1) // (L**n - 1), L ** (n - 1) + 1, None))
+            identity_difference(L, n, L), L ** (n - 1) + 1, None))
         kinds["pow"] = ("digit-scaling", lambda n: (L**n, L + 2, L + 2))
     else:
         raise SubstitutionError("no predicted families for this spin matrix")

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SubstitutionError
-from .stream import Coding, FixedPointSpec, prefix
-from .substitution import Alphabet, Substitution, base_digits
+from .stream import Coding, FixedPointSpec, base_digits, prefix
+from .substitution import Alphabet, Substitution
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ResourceCapError, SubstitutionError
-from .substitution import Substitution, base_digits
+
+if TYPE_CHECKING:
+    from .substitution import Substitution
 
 PREFIX_CAP = 2**30
+
+
+def base_digits(k: int, base: int) -> list[int]:
+    """Digits of k in the given base, least significant first; 0 -> []."""
+    if k < 0 or (k and base < 2):
+        raise SubstitutionError(f"{k} has no base-{base} digits")
+    digits = []
+    while k:
+        k, r = divmod(k, base)
+        digits.append(r)
+    return digits
 
 
 @lru_cache(maxsize=None)
@@ -58,10 +72,6 @@ class FixedPointSpec:
                 f"letter {self.sub.alphabet.letters[self.seed]!r} does not restart "
                 f"after {self.power} rounds"
             )
-
-    @property
-    def seed_letter(self) -> str:
-        return self.sub.alphabet.letters[self.seed]
 
     @classmethod
     def find(cls, sub: Substitution, seed: str | int | None = None) -> "FixedPointSpec":

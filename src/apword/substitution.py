@@ -10,6 +10,7 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
+from .stream import FixedPointSpec, base_digits, prefix
 
 MAX_DENSE_ALPHABET = 256  # letters are stored as uint8 in bulk kernels
 
@@ -248,17 +249,6 @@ def is_bijective(sub: Substitution) -> bool:
     return all(col.is_bijective for col in columns(sub))
 
 
-def base_digits(k: int, base: int) -> list[int]:
-    """Digits of k in the given base, least significant first; 0 -> []."""
-    if k < 0 or (k and base < 2):
-        raise SubstitutionError(f"{k} has no base-{base} digits")
-    digits = []
-    while k:
-        k, r = divmod(k, base)
-        digits.append(r)
-    return digits
-
-
 def power_column(sub: Substitution, k: int, n: int) -> ColumnMap:
     """Column k of n rounds of substitution, composed digit by digit.
 
@@ -341,10 +331,6 @@ class CollaredSubstitution:
         a, b = self.pairs[idx]
         letters = self.base.alphabet.letters
         return f"{letters[a]}_{letters[b]}"
-
-    def to_substitution(self) -> Substitution:
-        alphabet = Alphabet(tuple(self.pair_name(i) for i in range(len(self.pairs))))
-        return Substitution(alphabet, self.rules)
 
 
 def induced_two_block(sub: Substitution) -> CollaredSubstitution:
@@ -430,7 +416,6 @@ def recurrence_constants(
     sub: Substitution,
     mode: str = "formula",
     *,
-    prefix_cap: int | None = None,
     practical_cap: int = 2**26,
 ) -> RecurrenceReport:
     """Recurrence data; exact mode scans one fixed point for return-word gaps.
@@ -450,15 +435,11 @@ def recurrence_constants(
     n_exact = min_pair_cover_power(sub)
     gap_bound = 2 * L**n_exact - 1  # a 2-word recurs inside every two level-n images
     needed = (L * gap_bound + 1) * (gap_bound + 2)
-    if prefix_cap is None:
-        prefix_cap = L ** (n_bound + 2)  # least power of L reaching 2 L^(n_bound+1)
-    cap = min(prefix_cap, practical_cap)
+    cap = min(L ** (n_bound + 2), practical_cap)  # least power of L reaching 2 L^(n_bound+1)
     if needed > cap:
         raise ResourceCapError(
             f"exact recurrence scan needs a prefix of {needed} letters, cap is {cap}"
         )
-
-    from .stream import FixedPointSpec, prefix
 
     fp = FixedPointSpec.find(sub)
     w = prefix(fp, needed)
@@ -531,8 +512,6 @@ def aperiodicity_certificate(sub: Substitution, *, detector_prefix: int = 2**20)
             detail="two legal 2-words share a first or last letter",
         )
 
-    from .stream import FixedPointSpec, prefix
-
     fp = FixedPointSpec.find(sub)
     n = detector_prefix
     w = bytes(prefix(fp, n))
@@ -552,8 +531,6 @@ class HeightResult:
 
 def height(sub: Substitution, prefix_len: int) -> HeightResult:
     """Largest divisor of gcd{a > 0 : w_a = w_0} coprime to L, over a prefix."""
-    from .stream import FixedPointSpec, prefix
-
     fp = FixedPointSpec.find(sub)
     w = prefix(fp, prefix_len)
     positions = np.flatnonzero(w[1:] == w[0]) + 1

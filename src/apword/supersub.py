@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SubstitutionError
-from .groups import generate_group
+from .groups import generate_group, identity_difference
 from .progressions import DifferenceFamily
 from .stream import FixedPointSpec, letter_index_at
 from .substitution import Alphabet, Substitution, star_defect
@@ -98,7 +98,7 @@ def lift_identity_family(sub: Substitution, partition: Partition, ks,
     for k in ks:
         if k < 1:
             raise SubstitutionError("family parameters must be >= 1")
-        d = (L ** (k * e) - 1) // (L**k - 1)
+        d = identity_difference(L, k, e)
         out.append(DifferenceFamily("lifted-identity", (k,), d, L**k, None,
                                     "quotient-identity-columns"))
     return out

@@ -195,6 +195,13 @@ def test_spin_matrix_json_input(tmp_path: Path):
         [0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]
 
 
+def test_verify_one_digit_spin_matrix_has_no_families_exit_1():
+    # the Vandermonde comparison built vandermonde(1) and failed on its L >= 2 check
+    cp = run_cli("verify", "--rules", '{"modulus": 2, "matrix": [[0]]}')
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert "no predicted families for this spin matrix" in cp.stderr
+
+
 def test_verify_failure_exit_code_mapping():
     from apword.cli import exit_code_for_reports
     from apword.progressions import APResult, BoundReport, DifferenceFamily
