@@ -23,7 +23,7 @@ from .substitution import (
     recurrence_constants,
     substitution_power,
 )
-from .stream import Coding, FixedPointSpec, letter_at, letter_index_at, prefix
+from .stream import Coding, FixedPointSpec, factor, letter_at, letter_index_at, prefix
 from .groups import (
     ColumnGroup,
     PalindromicityReport,

@@ -7,6 +7,7 @@ Exit codes: 0 success / all pass, 1 input error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from .errors import ParseError, ResourceCapError, SubstitutionError
 from .groups import cycle_notation, generate_group, palindromicity
 from .progressions import ScanPolicy, difference_families, scan, verify_family
 from .spin import build_spin_substitution, spin_system_from_json
-from .stream import Coding, prefix, to_symbols
+from .stream import Coding, check_prefix, factor, prefix, to_symbols
 from .substitution import (
     aperiodicity_certificate,
     columns,
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
+_U8_CHUNK = 2**20  # letters per write of `prefix --format u8`
 
 
 class _CliError(Exception):
@@ -157,16 +159,14 @@ def cmd_prefix(args) -> int:
     builtin = _load_target(args)
     fp = builtin.fixed_point()
     coding = _coding_for(builtin, args.coding)
-    arr = prefix(fp, args.length, coding, cap=args.prefix_cap)
-    if args.format == "u8":
-        data = memoryview(arr)  # the uint8 array itself, not a copy
+    if args.format == "u8":  # written chunk by chunk, so the whole prefix is never held
+        check_prefix(fp, args.length, args.prefix_cap)
         out = _resolve_out(args.out)
-        if out:
-            with open(out, "wb") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.buffer.write(data)
+        with open(out, "wb") if out else contextlib.nullcontext(sys.stdout.buffer) as fh:
+            for a in range(0, args.length, _U8_CHUNK):
+                fh.write(memoryview(factor(fp, a, min(a + _U8_CHUNK, args.length), coding)))
         return EXIT_OK
+    arr = prefix(fp, args.length, coding, cap=args.prefix_cap)
     names = coding.names if coding else builtin.substitution.alphabet.letters
     _emit(_header(args) + "\n" + " ".join(to_symbols(names, arr)) + "\n", args.out)
     return EXIT_OK

@@ -22,7 +22,7 @@ from .groups import (
     palindromicity,
 )
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
-from .stream import Coding, FixedPointSpec, prefix
+from .stream import Coding, FixedPointSpec, check_prefix, factor
 from .substitution import (
     Substitution,
     column,
@@ -86,15 +86,22 @@ class PackedWord:
             raise SubstitutionError("word must be non-empty")
         if w.dtype.kind not in "bui" or (w.dtype.kind == "i" and w.min() < 0):
             raise SubstitutionError("letters must be non-negative integers")
-        bits = max(1, int(w.max()).bit_length())
-        planes = np.zeros((bits, (n + 63) // 64 + 1), "<u8")
-        as_bytes = planes.view(np.uint8)
-        for a in range(0, n, _PACK_CHUNK):
-            chunk = w[a:a + _PACK_CHUNK]
-            for b in range(bits):  # with one plane, the letters are its bits
-                bit = chunk if bits == 1 else chunk & w.dtype.type(1 << b)
-                as_bytes[b, a // 8:(a + len(chunk) + 7) // 8] = np.packbits(bit, bitorder="little")
+        planes = np.zeros((max(1, int(w.max()).bit_length()), (n + 63) // 64 + 1), "<u8")
+        _pack_into(planes, 0, n, lambda a, b: w[a:b])
         return cls(planes, n)
+
+
+def _pack_into(planes: np.ndarray, start: int, stop: int, letters) -> None:
+    """Pack letters(a, b) into planes for each _PACK_CHUNK-letter span [a, b) of [start, stop).
+
+    start is a multiple of 8, so every chunk starts on a byte of the planes.
+    """
+    as_bytes = planes.view(np.uint8)
+    for a in range(start, stop, _PACK_CHUNK):
+        chunk = letters(a, min(a + _PACK_CHUNK, stop))
+        for b in range(len(planes)):  # with one plane, the letters are its bits
+            bit = chunk if len(planes) == 1 else chunk & chunk.dtype.type(1 << b)
+            as_bytes[b, a // 8:(a + len(chunk) + 7) // 8] = np.packbits(bit, bitorder="little")
 
 
 def _shift_into(out: np.ndarray, src: np.ndarray, start: int, r: int,
@@ -259,22 +266,28 @@ def max_ap_in_prefix(word, d: int) -> APResult:
 class PrefixSource:
     """Grow-once cache of a (coded) fixed-point prefix, packed into bit planes.
 
-    The prefix is packed once per growth and its letters are not kept. get(n)
-    returns a PackedWord view of the first n letters that shares the cached
-    planes, so every d scanned on the same prefix reuses one packing.
+    There are ceil(log2) of the alphabet size planes, and no letters are kept.
+    A growth copies the whole words already packed and packs only the letters
+    after them, chunk by chunk from factor. get(n) returns a PackedWord view
+    of the first n letters that shares the cached planes, so every d scanned
+    on the same prefix reuses one packing.
     """
 
     def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
         self.fp = fp
         self.coding = coding
-        self._word: PackedWord | None = None
+        c = len(coding.names) if coding is not None else fp.sub.size
+        self._word = PackedWord(np.zeros((max(1, (c - 1).bit_length()), 1), "<u8"), 0)
 
     def get(self, n: int) -> PackedWord:
-        if n < 1:
-            raise SubstitutionError("prefix length must be >= 1")
-        if self._word is None or self._word.n < n:
-            self._word = None  # let the shorter planes go before the longer prefix is built
-            self._word = PackedWord.pack(prefix(self.fp, n, self.coding))
+        check_prefix(self.fp, n)
+        if self._word.n < n:
+            whole = self._word.n // 64
+            planes = np.zeros((len(self._word.planes), (n + 63) // 64 + 1), "<u8")
+            planes[:, :whole] = self._word.planes[:, :whole]
+            self._word = PackedWord(planes, 0)  # let the shorter planes go before packing
+            _pack_into(planes, 64 * whole, n, lambda a, b: factor(self.fp, a, b, self.coding))
+            self._word = PackedWord(planes, n)
         return PackedWord(self._word.planes, n)
 
 

@@ -150,31 +150,50 @@ class Coding:
         return cls(tuple(table), tuple(names))
 
 
-def prefix(fp: FixedPointSpec, length: int, coding: Coding | None = None,
-           cap: int = PREFIX_CAP) -> np.ndarray:
-    """First `length` letters as a uint8 index array, coded if requested.
-
-    Letters b*B .. b*B+B-1 of the fixed point u are row u[b] of the level-j image
-    table (B = L^j), so each level is one gather; the last uses the coded table.
-    """
+def check_prefix(fp: FixedPointSpec, length: int, cap: int = PREFIX_CAP) -> None:
+    """Raise unless the first `length` letters exist and fit under the cap."""
     if length < 1:
         raise SubstitutionError("prefix length must be >= 1")
     if length > cap:
         raise ResourceCapError(f"prefix of {length} letters exceeds cap {cap}")
-    if fp.sub.length == 1:  # the fixed point is the seed alone
-        if length > 1:
-            raise SubstitutionError("a length-1 substitution has a one-letter fixed point")
+    if fp.sub.length == 1 and length > 1:  # the fixed point is the seed alone
+        raise SubstitutionError("a length-1 substitution has a one-letter fixed point")
+
+
+def factor(fp: FixedPointSpec, start: int, stop: int,
+           coding: Coding | None = None) -> np.ndarray:
+    """Letters start .. stop-1 as a uint8 index array, coded if requested.
+
+    Letters b*B .. b*B+B-1 of the fixed point u are row u[b] of the level-j image
+    table (B = L^j), so each level is one gather of the blocks the level below
+    needs, [lo // B, ceil(hi / B)) for its span [lo, hi); the last gather uses
+    the coded table.
+    """
+    if not 0 <= start < stop:
+        raise SubstitutionError(f"no letters in [{start}, {stop})")
+    if fp.sub.length == 1:
+        check_prefix(fp, stop)
         return np.full(1, fp.seed if coding is None else coding.table[fp.seed], np.uint8)
     rounds, table = _block_table(fp.sub)
-    sizes = [length]
-    while sizes[-1] > table.shape[1]:
-        sizes.append(-(-sizes[-1] // table.shape[1]))
-    arr = [fp.seed]
-    for _ in range(-len(sizes) * rounds % fp.power):  # seed stepped back len(sizes) * j rounds
+    B = table.shape[1]
+    spans = [(start, stop)]
+    while spans[-1][1] > B:
+        spans.append((spans[-1][0] // B, -(-spans[-1][1] // B)))
+    arr, at = [fp.seed], 0  # arr holds the letters of its level from position `at` on
+    for _ in range(-len(spans) * rounds % fp.power):  # seed stepped back len(spans) * j rounds
         arr = [fp.sub.rules[arr[0]][0]]
-    for m in reversed(sizes[1:]):
-        arr = table[arr].reshape(-1)[:m]
-    return (table if coding is None else coding.apply(table))[arr].reshape(-1)[:length]
+    for level in reversed(range(len(spans))):
+        lo, hi = spans[level]
+        t = table if level or coding is None else coding.apply(table)
+        arr, at = t[arr].reshape(-1)[lo - at * B:hi - at * B], lo
+    return arr
+
+
+def prefix(fp: FixedPointSpec, length: int, coding: Coding | None = None,
+           cap: int = PREFIX_CAP) -> np.ndarray:
+    """First `length` letters as a uint8 index array, coded if requested."""
+    check_prefix(fp, length, cap)
+    return factor(fp, 0, length, coding)
 
 
 def to_symbols(names, arr) -> list[str]:

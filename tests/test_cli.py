@@ -158,6 +158,15 @@ def test_prefix_resource_cap_exit_3():
     assert cp.returncode == 3
 
 
+def test_apscan_rows_over_the_prefix_cap_are_errors_exit_0():
+    cp = run_cli("apscan", "--builtin", "tm:2", "--range", "1:2",
+                 "--prefix-cap", str(2**31), "--initial-prefix", str(2**31))
+    assert cp.returncode == 0, cp.stderr
+    rows = cp.stdout.splitlines()[2:]
+    assert rows == [f"{d},0,0,0,Error:prefix of {2**31} letters exceeds cap {2**30}"
+                    for d in (1, 2)]
+
+
 def test_verify_exit_0():
     cp = run_cli("verify", "--builtin", "tm:2", "--families", "identity",
                  "--k-range", "1:3", "--r-override", "9",

@@ -35,6 +35,7 @@ from apword.progressions import (
     _certified_window,
     palindromic_member,
 )
+from apword.stream import PREFIX_CAP
 from ap_oracle import max_ap_oracle
 
 SMALL = ScanPolicy(initial_prefix=2**16, prefix_cap=2**20)
@@ -344,15 +345,29 @@ def test_kernel_packed_peak_memory(monkeypatch):
         tracemalloc.stop()
 
 
+def _factor_spans(monkeypatch) -> list[tuple[int, int]]:
+    """Record the [start, stop) span of every factor call made by PrefixSource."""
+    spans = []
+    real_factor = apword.progressions.factor
+
+    def spy(fp, start, stop, coding=None):
+        spans.append((start, stop))
+        return real_factor(fp, start, stop, coding)
+
+    monkeypatch.setattr(apword.progressions, "factor", spy)
+    return spans
+
+
+def assert_tiles(spans, final, growths):
+    """The spans cover [0, final) in order; each growth starts at most 63 letters back."""
+    assert spans[0][0] == 0 and spans[-1][1] == final
+    backs = [stop - start for (_, stop), (start, _) in zip(spans, spans[1:])]
+    assert all(0 <= back < 64 for back in backs), backs
+    assert sum(back > 0 for back in backs) <= growths
+
+
 def test_prefix_source_keeps_planes_only(monkeypatch):
-    lengths = []
-    real_prefix = apword.progressions.prefix
-
-    def spy(fp, length, coding=None):
-        lengths.append(length)
-        return real_prefix(fp, length, coding)
-
-    monkeypatch.setattr(apword.progressions, "prefix", spy)
+    spans = _factor_spans(monkeypatch)
     b = get_builtin("tm:3")
     src = PrefixSource(b.fixed_point())
     longer = src.get(5000)
@@ -361,10 +376,71 @@ def test_prefix_source_keeps_planes_only(monkeypatch):
     assert longer.planes.dtype == np.dtype("<u8")
     shorter = src.get(3000)
     assert shorter.n == 3000 and shorter.planes is longer.planes
-    assert lengths == [5000]
+    assert spans == [(0, 5000)]
+    grown = src.get(5000 + 640)
+    assert spans == [(0, 5000), (64 * (5000 // 64), 5640)]  # the partial last word again
+    assert_tiles(spans, 5640, 1)
+    assert grown.planes is not longer.planes
     for bad in (0, -1):
         with pytest.raises(SubstitutionError):
             src.get(bad)
+
+
+def test_prefix_source_checks_the_cap_before_allocating():
+    b = get_builtin("rs")
+    src = PrefixSource(b.fixed_point(), b.coding("spin"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError,
+                           match=f"prefix of {PREFIX_CAP + 1} letters exceeds cap {PREFIX_CAP}"):
+            src.get(PREFIX_CAP + 1)
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+    word = src.get(100)
+    want = PackedWord.pack(prefix(b.fixed_point(), 100, b.coding("spin")))
+    assert word.n == 100 and np.array_equal(word.planes, want.planes)
+
+
+def plane_bits(word: PackedWord) -> np.ndarray:
+    """Bit i of row b is bit i of plane b, for every bit the planes hold."""
+    return np.unpackbits(word.planes.view(np.uint8), axis=1, bitorder="little")
+
+
+@pytest.mark.parametrize("name,coding,planes", [
+    ("tm:2", None, 1), ("rs", "spin", 1), ("tm:3", None, 2), ("rs", None, 2), ("tm:5", None, 3)])
+def test_prefix_source_growth_matches_packing_the_prefix(monkeypatch, name, coding, planes):
+    # 192-letter chunks: growths cross chunks, start mid-word and grow by one letter
+    monkeypatch.setattr(apword.progressions, "_PACK_CHUNK", 192)
+    spans = _factor_spans(monkeypatch)
+    b = get_builtin(name)
+    fp, code = b.fixed_point(), b.coding(coding) if coding else None
+    src = PrefixSource(fp, code)
+    top, growths = 0, 0
+    for n in (1, 2, 63, 64, 65, 193, 833, 834, 100, 1024, 1025, 1665, 1000, 2048 + 7, 2048 + 8):
+        word = src.get(n)
+        got, want = plane_bits(word), plane_bits(PackedWord.pack(prefix(fp, n, code)))
+        assert len(got) == planes and len(want) <= planes
+        assert np.array_equal(got[:len(want), :n], want[:, :n]) and not got[len(want):, :n].any()
+        if n > top:
+            top, growths = n, growths + 1
+            assert not got[:, n:].any(), n  # zeros after the letters, guard word included
+        assert_tiles(spans, top, growths)
+
+
+@pytest.mark.parametrize("name,coding", [("tm:3", None), ("rs", "spin")])
+def test_prefix_source_growth_peak_memory(name, coding):
+    # planes only: the old and new planes, or the new planes and one chunk of letters
+    b = get_builtin(name)
+    src = PrefixSource(b.fixed_point(), b.coding(coding) if coding else None)
+    tracemalloc.start()
+    try:
+        src.get(2**23)
+        word = src.get(2**24 + 640)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * word.planes.nbytes + 2**21, peak / word.planes.nbytes
 
 
 @pytest.mark.parametrize("d", [1, 63, 64, 65, 1025])
@@ -500,17 +576,10 @@ def test_a_of_d_stops_once_the_witness_ends_before_the_previous_window(end, wind
 
 
 def test_scan_generates_its_prefix_once(monkeypatch):
-    lengths = []
-    real_prefix = apword.progressions.prefix
-
-    def spy(fp, length, coding=None):
-        lengths.append(length)
-        return real_prefix(fp, length, coding)
-
-    monkeypatch.setattr(apword.progressions, "prefix", spy)
+    spans = _factor_spans(monkeypatch)
     b = get_builtin("rs")
     scan(b.fixed_point(), b.coding("spin"), 1, 100, SMALL)
-    assert lengths == [2 * SMALL.initial_prefix]  # no pre-warm at the initial window
+    assert_tiles(spans, 2 * SMALL.initial_prefix, 1)  # each letter once, no pre-warm regenerated
 
 
 def test_tm_cube_free():

@@ -12,6 +12,7 @@ from apword import (
     ResourceCapError,
     Substitution,
     SubstitutionError,
+    factor,
     get_builtin,
     letter_at,
     letter_index_at,
@@ -232,6 +233,7 @@ def test_block_prefix_powers_from_every_seed(sub, power):
 
 @st.composite
 def fixed_points(draw):
+    """(fixed point, coding or None): powers up to 3 times the cycle length of the seed."""
     c = draw(st.integers(1, 6))
     L = draw(st.integers(2, 5))
     rules = tuple(tuple(draw(st.lists(st.integers(0, c - 1), min_size=L, max_size=L)))
@@ -239,15 +241,51 @@ def fixed_points(draw):
     sub = Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), rules)
     seed = draw(st.sampled_from([a for a in range(c) if _cycle_length(sub, a) is not None]))
     power = _cycle_length(sub, seed) * draw(st.integers(1, 3))
-    return FixedPointSpec(sub, seed, power)
+    k = draw(st.integers(1, c))
+    table = draw(st.lists(st.integers(0, k - 1), min_size=c, max_size=c))
+    coding = draw(st.sampled_from([None, Coding(tuple(table), tuple(f"y{i}" for i in range(k)))]))
+    return FixedPointSpec(sub, seed, power), coding
+
+
+def coded_letter_at(fp, coding, n):
+    x = letter_index_at(fp, n)
+    return x if coding is None else coding.table[x]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(fp=fixed_points(), data=st.data())
-def test_block_prefix_agrees_with_letter_index_at(fp, data):
+@given(spec=fixed_points(), data=st.data())
+def test_block_prefix_agrees_with_letter_index_at(spec, data):
+    fp, coding = spec
     B = block_size(fp.sub.length)
     length = data.draw(st.integers(1, 3 * B * B))
-    got = prefix(fp, length)
+    got = prefix(fp, length, coding)
     positions = data.draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=40))
     for n in positions + [0, length - 1]:
-        assert got[n] == letter_index_at(fp, n), n
+        assert got[n] == coded_letter_at(fp, coding, n), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=fixed_points(), data=st.data())
+def test_factor_agrees_with_prefix_and_letter_index_at(spec, data):
+    fp, coding = spec
+    B = block_size(fp.sub.length)
+    stop = data.draw(st.integers(1, 3 * B * B))
+    edges = [e for m in (1, B, 2 * B, B * B, 2 * B * B) for e in (m - 1, m, m + 1) if e < stop]
+    start = data.draw(st.integers(0, stop - 1) | st.sampled_from(edges or [0]))
+    got = factor(fp, start, stop, coding)
+    assert got.dtype == np.uint8
+    assert bytes(got) == bytes(prefix(fp, stop, coding)[start:])
+    positions = data.draw(st.lists(st.integers(start, stop - 1), min_size=1, max_size=40))
+    for n in positions + [start, stop - 1]:
+        assert got[n - start] == coded_letter_at(fp, coding, n), n
+
+
+def test_factor_rejects_empty_and_negative_spans():
+    fp = get_builtin("tm:2").fixed_point()
+    for start, stop in ((5, 5), (6, 5), (-1, 3)):
+        with pytest.raises(SubstitutionError):
+            factor(fp, start, stop)
+    one = FixedPointSpec.find(parse_substitution("a -> b ; b -> a ; c -> a"), "a")
+    assert list(factor(one, 0, 1)) == [one.seed]
+    with pytest.raises(SubstitutionError):  # the fixed point is the seed alone
+        factor(one, 1, 2)
