@@ -13,13 +13,15 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .catalog import Builtin, get_builtin
 from .errors import ParseError, ResourceCapError, SubstitutionError
 from .groups import cycle_notation, generate_group, palindromicity
 from .progressions import ScanPolicy, difference_families, scan, verify_family
 from .spin import build_spin_substitution, spin_system_from_json
-from .stream import Coding, check_prefix, factor, prefix, to_symbols
+from .stream import Coding, check_prefix, factor
 from .substitution import (
     aperiodicity_certificate,
     columns,
@@ -36,7 +38,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
-_U8_CHUNK = 2**20  # letters per write of `prefix --format u8`
+_CHUNK = 2**20  # letters per write of `prefix`
 
 
 class _CliError(Exception):
@@ -159,16 +161,21 @@ def cmd_prefix(args) -> int:
     builtin = _load_target(args)
     fp = builtin.fixed_point()
     coding = _coding_for(builtin, args.coding)
-    if args.format == "u8":  # written chunk by chunk, so the whole prefix is never held
-        check_prefix(fp, args.length, args.prefix_cap)
-        out = _resolve_out(args.out)
-        with open(out, "wb") if out else contextlib.nullcontext(sys.stdout.buffer) as fh:
-            for a in range(0, args.length, _U8_CHUNK):
-                fh.write(memoryview(factor(fp, a, min(a + _U8_CHUNK, args.length), coding)))
-        return EXIT_OK
-    arr = prefix(fp, args.length, coding, cap=args.prefix_cap)
-    names = coding.names if coding else builtin.substitution.alphabet.letters
-    _emit(_header(args) + "\n" + " ".join(to_symbols(names, arr)) + "\n", args.out)
+    check_prefix(fp, args.length, args.prefix_cap)  # before any output is opened
+    names = np.array(coding.names if coding else builtin.substitution.alphabet.letters, object)
+    text = args.format == "text"
+    out = _resolve_out(args.out)
+    with open(out, "wb") if out else contextlib.nullcontext(sys.stdout.buffer) as fh:
+        if text:
+            fh.write(f"{_header(args)}\n".encode())
+        for a in range(0, args.length, _CHUNK):  # the whole prefix is never held
+            letters = factor(fp, a, min(a + _CHUNK, args.length), coding)
+            if text:
+                fh.write(((" " if a else "") + " ".join(names[letters].tolist())).encode())
+            else:
+                fh.write(memoryview(letters))
+        if text:
+            fh.write(b"\n")
     return EXIT_OK
 
 

@@ -123,6 +123,9 @@ class Coding:
     def __post_init__(self):
         if any(not 0 <= t < len(self.names) for t in self.table):
             raise SubstitutionError("coding table points outside its output alphabet")
+        for name in self.names:  # the rule Alphabet applies to letters
+            if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
+                raise SubstitutionError(f"bad coding symbol {name!r}")
 
     @property
     def is_injective(self) -> bool:
@@ -132,11 +135,9 @@ class Coding:
         return np.asarray(self.table, dtype=np.uint8)[arr]
 
     @classmethod
-    def identity(cls, sub: Substitution) -> "Coding":
-        return cls(tuple(range(sub.size)), sub.alphabet.letters)
-
-    @classmethod
     def from_map(cls, sub: Substitution, mapping: dict[str, str]) -> "Coding":
+        if not isinstance(mapping, dict):
+            raise SubstitutionError("a coding maps each letter to a symbol")
         missing = [a for a in sub.alphabet.letters if a not in mapping]
         if missing:
             raise SubstitutionError(f"coding misses letters {missing}")
@@ -194,8 +195,3 @@ def prefix(fp: FixedPointSpec, length: int, coding: Coding | None = None,
     """First `length` letters as a uint8 index array, coded if requested."""
     check_prefix(fp, length, cap)
     return factor(fp, 0, length, coding)
-
-
-def to_symbols(names, arr) -> list[str]:
-    """Render an index array with the given symbol names."""
-    return [names[i] for i in arr]

@@ -254,18 +254,14 @@ def graph_of_sets(sub: Substitution) -> SetGraph:
     """
     full = frozenset(range(sub.size))
     edges: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    order = [full]
-    queue = [full]
-    while queue:
-        node = queue.pop(0)
-        if node in edges:
-            continue
+    order, seen = [full], {full}
+    for node in order:  # breadth first: order grows as new sets are found
         targets = tuple(frozenset(sub.rules[a][i] for a in node) for i in range(sub.length))
         edges[node] = targets
         for t in targets:
-            if t not in edges and t not in queue:
+            if t not in seen:
+                seen.add(t)
                 order.append(t)
-                queue.append(t)
 
     succ = {node: set(ts) - {node} for node, ts in edges.items()}
     components = _strongly_connected(list(edges), succ)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from apword import get_builtin, prefix
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -152,10 +154,88 @@ def test_prefix_text_and_u8(tmp_path: Path):
     assert list(out.read_bytes()) == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]
 
 
-def test_prefix_resource_cap_exit_3():
-    cp = run_cli("prefix", "--builtin", "tm:2", "--length", str(2**20),
-                 "--prefix-cap", str(2**10))
-    assert cp.returncode == 3
+def test_prefix_resource_cap_exit_3(tmp_path: Path):
+    out = tmp_path / "w"
+    for fmt in ("text", "u8"):
+        cp = run_cli("prefix", "--builtin", "tm:2", "--length", str(2**20),
+                     "--prefix-cap", str(2**10), "--format", fmt, "--out", str(out))
+        assert cp.returncode == 3
+        assert cp.stderr == f"resource cap: prefix of {2**20} letters exceeds cap {2**10}\n"
+        assert not out.exists()
+
+
+PREFIX_LENGTHS = [1, 8, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5]  # around the write chunks
+CODED = [(name, None) for name in ["tm:2", "tm:3", "tm:5", "outlook6", "a4-example",
+                                   "c3-invpal", "s3-noninvpal", "supersub5", "supersub6"]]
+CODED += [(name, coding) for name in ["rs", "hadamard4", "vandermonde:3", "vandermonde:5"]
+          for coding in [None, "spin", "digit"]]
+
+
+@pytest.mark.parametrize("name,coding", CODED)
+def test_prefix_text_is_the_header_and_the_joined_symbols(tmp_path: Path, name, coding):
+    from apword.cli import _header, build_parser, main
+
+    b = get_builtin(name)
+    names = b.coding(coding).names if coding else b.substitution.alphabet.letters
+    letters = prefix(b.fixed_point(), max(PREFIX_LENGTHS), b.coding(coding))
+    symbols = [names[i] for i in letters.tolist()]
+    out = tmp_path / "w.txt"
+    for n in PREFIX_LENGTHS:
+        argv = ["prefix", "--builtin", name, "--length", str(n), "--out", str(out)]
+        argv += ["--coding", coding] if coding else []
+        assert main(argv) == 0
+        header = _header(build_parser().parse_args(argv))
+        assert out.read_bytes() == f"{header}\n{' '.join(symbols[:n])}\n".encode(), n
+
+
+def test_prefix_text_on_stdout_is_utf8(tmp_path: Path):
+    coding = tmp_path / "coding.json"
+    coding.write_text(json.dumps({"0": "α", "1": "β"}), encoding="utf-8")
+    cmd = [sys.executable, "-m", "apword", "prefix", "--builtin", "tm:2", "--coding",
+           str(coding), "--length", "8"]
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="ascii")  # not stdout's encoding
+    cp = subprocess.run(cmd, capture_output=True, env=env)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "α β β α β α α β".encode()
+
+
+@pytest.mark.parametrize("symbols", [[0, 1], ["x", ""], ["x", "y z"], ["x", None]])
+def test_prefix_coding_file_with_bad_symbols_exit_1(tmp_path: Path, symbols):
+    # integer symbols once reached " ".join and died with a TypeError traceback
+    coding = tmp_path / "coding.json"
+    coding.write_text(json.dumps(dict(zip(["0", "1"], symbols))))
+    out = tmp_path / "w.txt"
+    cp = run_cli("prefix", "--builtin", "tm:2", "--coding", str(coding), "--length", "8",
+                 "--out", str(out))
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr.startswith("error: bad coding symbol") and "Traceback" not in cp.stderr
+    assert not out.exists()
+
+
+# a parent with nothing imported, so wait4 reports the child's peak and not a forked runner's
+_PEAK_RSS = """
+import os, sys
+fd = os.open(os.devnull, os.O_WRONLY)
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "apword", *sys.argv[1:]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, fd, 1)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_prefix_text_peak_rss_does_not_grow_with_the_length():
+    def peak_mib(length):
+        cmd = [sys.executable, "-c", _PEAK_RSS, "prefix", "--builtin", "rs", "--coding",
+               "spin", "--length", str(length), "--format", "text"]
+        cp = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+        code, kib = map(int, cp.stdout.split())
+        assert code == 0
+        return kib / 1024
+
+    # holding the whole prefix as strings costs about 180 MiB more at 2^24 letters
+    assert peak_mib(2**24) < peak_mib(8) + 32
 
 
 def test_apscan_rows_over_the_prefix_cap_are_errors_exit_0():

@@ -81,6 +81,22 @@ def test_coding_from_map_and_injectivity():
         Coding.from_map(tm, {"0": "x"})
 
 
+@pytest.mark.parametrize("bad", [0, "", "y z", "y\n", None, ["y"]])
+def test_coding_symbols_are_whitespace_free_tokens(bad):
+    tm = get_builtin("tm:2").substitution
+    with pytest.raises(SubstitutionError, match="bad coding symbol"):
+        Coding.from_map(tm, {"0": "x", "1": bad})
+    with pytest.raises(SubstitutionError, match="bad coding symbol"):
+        Coding((0, 1), ("x", bad))
+
+
+@pytest.mark.parametrize("mapping", [5, ["x", "y"], "xy", None])
+def test_coding_from_map_needs_a_mapping(mapping):
+    # a JSON number once died with a TypeError in the letter lookup
+    with pytest.raises(SubstitutionError, match="maps each letter"):
+        Coding.from_map(get_builtin("tm:2").substitution, mapping)
+
+
 def test_seed_power_search():
     sub = parse_substitution("a -> ba ; b -> ab")
     fp = FixedPointSpec.find(sub)
