@@ -30,6 +30,7 @@ from .substitution import (
     min_pair_cover_power,
     parse_substitution,
     recurrence_constants,
+    recurrence_formula,
 )
 from .supersub import export_dot, graph_of_sets
 from .vdw import VdwQuery, vdw_lower, vdw_upper_report
@@ -142,13 +143,14 @@ def cmd_analyze(args) -> int:
             "inverse_palindromic": pal.inverse_palindromic,
         }
     if report["primitive"]:
-        rec = recurrence_constants(sub, "exact" if args.exact_recurrence else "formula")
+        r_formula, n_bound = recurrence_formula(sub.size, sub.length)
         try:
-            r_text = str(rec.r_formula)
+            r_text = str(r_formula)
         except ValueError:  # over Python's int-to-decimal digit limit
-            r_text = f"2*{rec.L}^{rec.n_bound}-{rec.L}"
-        entry = {"r_formula": r_text, "n_bound": rec.n_bound}
+            r_text = f"2*{sub.length}^{n_bound}-{sub.length}"
+        entry = {"r_formula": r_text, "n_bound": n_bound}
         if args.exact_recurrence:
+            rec = recurrence_constants(sub)
             entry.update(n_exact=rec.n_exact, zeta2=rec.zeta2_exact, r_exact=rec.r_exact)
         else:
             entry["n_exact"] = min_pair_cover_power(sub)

@@ -361,7 +361,8 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
 
     Status is ExactUnderBound only when the substitution admits an upper bound
     and the final window is recurrence-complete for it; plateaus alone never
-    certify anything.
+    certify anything. A source must have been built for the same fixed point
+    and coding, since the bound is taken from fp and the letters from source.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
@@ -369,6 +370,8 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
         raise ResourceCapError(
             f"difference {d} does not fit two terms inside the cap {policy.prefix_cap}"
         )
+    if source is not None and (source.fp != fp or source.coding != coding):
+        raise SubstitutionError("prefix source was built for another fixed point or coding")
     src = source if source is not None else PrefixSource(fp, coding)
     target = None
     if fp.power == 1:
@@ -396,7 +399,6 @@ class DifferenceFamily:
     d: int
     predicted_lower: int
     predicted_upper: int | None
-    source: str
 
     def __post_init__(self):
         if self.d < 1 or self.predicted_lower < 1:
@@ -413,40 +415,29 @@ def is_cyclic_shift_substitution(sub: Substitution) -> bool:
     return all(sub.rules[a][i] == (a + i) % L for a in range(c) for i in range(L))
 
 
-def _sub_families(sub: Substitution, ks, names) -> list[DifferenceFamily]:
+def _sub_kinds(sub: Substitution) -> dict:
+    """The families that apply to a substitution: name -> (k -> member)."""
     group = generate_group(sub)
     if column(sub, 0).image != identity_perm(sub.size):
         raise SubstitutionError("difference families need the zeroth column to be the identity")
     L = sub.length
-    e = group.exponent
     pal = palindromicity(sub)
-    cyclic_tm = is_cyclic_shift_substitution(sub)
 
-    available = {"identity"}
-    if cyclic_tm:
-        available.add("tm")
+    def identity(k):
+        d = identity_difference(L, k, group.exponent)
+        return DifferenceFamily("identity", (k,), d, L**k, upper_bound(sub, d))
+
+    def tm(k):
+        d = L**k - 1
+        lower = L**k + (2 * L if k % L == 0 else 0)
+        return DifferenceFamily("tm", (k,), d, lower, upper_bound(sub, d))
+
+    kinds = {"identity": identity}
+    if is_cyclic_shift_substitution(sub):
+        kinds["tm"] = tm
     elif pal.g_witness is not None and group.abelian:
-        available.add("palindrome")
-    wanted = set(names) if names else available
-    for name in wanted - available:
-        raise SubstitutionError(f"family {name!r} not applicable to this substitution")
-
-    out = []
-    for k in ks:
-        if k < 1:
-            raise SubstitutionError("family parameters must be >= 1")
-        if "identity" in wanted:
-            d = identity_difference(L, k, e)
-            out.append(DifferenceFamily(
-                "identity", (k,), d, L**k, upper_bound(sub, d), "identity-columns"))
-        if "tm" in wanted:
-            d = L**k - 1
-            lower = L**k + (2 * L if k % L == 0 else 0)
-            out.append(DifferenceFamily("tm", (k,), d, lower, upper_bound(sub, d),
-                                        "cyclic-shift-refinement"))
-        if "palindrome" in wanted:
-            out.append(_palindrome_member(sub, k, 2, pal))
-    return out
+        kinds["palindrome"] = lambda k: _palindrome_member(sub, k, 2, pal)
+    return kinds
 
 
 def palindromic_member(sub: Substitution, n: int, ell: int) -> DifferenceFamily:
@@ -465,53 +456,53 @@ def _palindrome_member(sub: Substitution, n: int, ell: int,
     L = sub.length
     d = (L ** (n * ell) - 1) // (L**n + 1)
     lower = L**n + (2 if pal.inverse_palindromic else 0)
-    return DifferenceFamily("palindrome", (n, ell), d, lower, upper_bound(sub, d),
-                            "mirror-columns")
+    return DifferenceFamily("palindrome", (n, ell), d, lower, upper_bound(sub, d))
 
 
-def _spin_families(sys: SpinSystem, ks, names) -> list[DifferenceFamily]:
+def _spin_kinds(sys: SpinSystem) -> dict:
+    """The families predicted for a known spin system: name -> (k -> member)."""
     L = sys.digits
-    kinds: dict[str, tuple] = {}
     if sys == rudin_shapiro():
-        kinds["plus"] = ("spin-matrix", lambda n: (2**n + 1, 2 ** (n - 1) + 2, None))
-        kinds["minus"] = ("spin-matrix", lambda n: (
-            2**n - 1, 2 ** (n - 1) + (1 if n % 2 == 0 else 3), None))
-        kinds["pow"] = ("digit-scaling", lambda n: (2**n, 4, 4))
+        gens = {"plus": lambda n: (2**n + 1, 2 ** (n - 1) + 2, None),
+                "minus": lambda n: (2**n - 1, 2 ** (n - 1) + (1 if n % 2 == 0 else 3), None),
+                "pow": lambda n: (2**n, 4, 4)}
     elif sys == hadamard4():
-        kinds["plus"] = ("spin-matrix", lambda n: (4**n + 1, 4 ** (n - 1) + 2, None))
-        kinds["minus"] = ("spin-matrix", lambda n: (4**n - 1, 4 ** (n - 1) + 3, None))
-        kinds["pow"] = ("digit-scaling", lambda n: (4**n, 6, 6))
+        gens = {"plus": lambda n: (4**n + 1, 4 ** (n - 1) + 2, None),
+                "minus": lambda n: (4**n - 1, 4 ** (n - 1) + 3, None),
+                "pow": lambda n: (4**n, 6, 6)}
     elif L >= 2 and sys == vandermonde(L):
-        kinds["vandermonde"] = ("spin-matrix", lambda n: (
-            identity_difference(L, n, L), L ** (n - 1) + 1, None))
-        kinds["pow"] = ("digit-scaling", lambda n: (L**n, L + 2, L + 2))
+        gens = {"vandermonde": lambda n: (identity_difference(L, n, L), L ** (n - 1) + 1, None),
+                "pow": lambda n: (L**n, L + 2, L + 2)}
     else:
         raise SubstitutionError("no predicted families for this spin matrix")
-
-    wanted = set(names) if names else set(kinds)
-    for name in wanted - set(kinds):
-        raise SubstitutionError(f"family {name!r} not applicable to this spin system")
-    out = []
-    for k in ks:
-        if k < 1:
-            raise SubstitutionError("family parameters must be >= 1")
-        for name in sorted(wanted):
-            source, gen = kinds[name]
-            d, lower, upper = gen(k)
-            out.append(DifferenceFamily(name, (k,), d, lower, upper, source))
-    return out
+    return {name: lambda k, name=name, gen=gen: DifferenceFamily(name, (k,), *gen(k))
+            for name, gen in gens.items()}
 
 
 def difference_families(target, ks, names=None) -> list[DifferenceFamily]:
-    """Predicted difference family members for a substitution or spin system."""
+    """Predicted difference family members for a substitution or spin system.
+
+    Members come k by k, and for each k in the sorted order of the names.
+    """
     ks = list(ks)
     if not ks:
         raise SubstitutionError("empty parameter range")
     if isinstance(target, Substitution):
-        return _sub_families(target, ks, names)
-    if isinstance(target, SpinSystem):
-        return _spin_families(target, ks, names)
-    raise SubstitutionError(f"unsupported analysis target {type(target).__name__}")
+        kinds, what = _sub_kinds(target), "substitution"
+    elif isinstance(target, SpinSystem):
+        kinds, what = _spin_kinds(target), "spin system"
+    else:
+        raise SubstitutionError(f"unsupported analysis target {type(target).__name__}")
+    wanted = sorted(set(names) if names else kinds)
+    for name in wanted:
+        if name not in kinds:
+            raise SubstitutionError(f"family {name!r} not applicable to this {what}")
+    out = []
+    for k in ks:
+        if k < 1:
+            raise SubstitutionError("family parameters must be >= 1")
+        out += [kinds[name](k) for name in wanted]
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from .errors import ParseError, ResourceCapError, SubstitutionError
 from .stream import FixedPointSpec, base_digits, prefix
 
 MAX_DENSE_ALPHABET = 256  # letters are stored as uint8 in bulk kernels
+_RECURRENCE_CAP = 2**26  # most letters the exact recurrence scan reads
 
 
 def wielandt_cap(n: int) -> int:
@@ -385,19 +386,16 @@ def min_pair_cover_power(sub: Substitution) -> int:
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    """Linear-recurrence data: the generic constant plus exact values when scanned."""
+    """Linear-recurrence data: the generic constant and the exact values from a scan."""
 
-    c: int
-    L: int
     r_formula: int
     n_bound: int
-    n_exact: int | None = None
-    zeta2_exact: int | None = None
-    r_exact: int | None = None
-    prefix_scanned: int | None = None
+    n_exact: int
+    zeta2_exact: int
+    r_exact: int
 
     def __post_init__(self):
-        if self.n_exact is not None and self.n_exact > self.n_bound:
+        if self.n_exact > self.n_bound:
             raise SubstitutionError("exact pair-cover power exceeds its bound")
 
 
@@ -412,30 +410,21 @@ def recurrence_formula(c: int, L: int) -> tuple[int, int]:
     return 2 * L**n_bound - L, n_bound
 
 
-def recurrence_constants(
-    sub: Substitution,
-    mode: str = "formula",
-    *,
-    practical_cap: int = 2**26,
-) -> RecurrenceReport:
-    """Recurrence data; exact mode scans one fixed point for return-word gaps.
+def recurrence_constants(sub: Substitution) -> RecurrenceReport:
+    """Exact recurrence data, from a scan of one fixed point for return-word gaps.
 
     The scan window is sized so every return word to a legal 2-word must
     already have occurred; hitting a cap first is an error, not a guess.
     """
     c, L = sub.size, sub.length
     r_formula, n_bound = recurrence_formula(c, L)
-    if mode == "formula":
-        return RecurrenceReport(c, L, r_formula, n_bound)
-    if mode != "exact":
-        raise SubstitutionError(f"unknown mode {mode!r}")
     if L < 2:
         raise SubstitutionError("exact recurrence needs substitution length >= 2")
 
     n_exact = min_pair_cover_power(sub)
     gap_bound = 2 * L**n_exact - 1  # a 2-word recurs inside every two level-n images
     needed = (L * gap_bound + 1) * (gap_bound + 2)
-    cap = min(L ** (n_bound + 2), practical_cap)  # least power of L reaching 2 L^(n_bound+1)
+    cap = min(L ** (n_bound + 2), _RECURRENCE_CAP)  # least power of L reaching 2 L^(n_bound+1)
     if needed > cap:
         raise ResourceCapError(
             f"exact recurrence scan needs a prefix of {needed} letters, cap is {cap}"
@@ -455,7 +444,7 @@ def recurrence_constants(
         if gap > gap_bound:
             raise SubstitutionError("return-word gap exceeded its structural bound")
         zeta2 = max(zeta2, gap)
-    return RecurrenceReport(c, L, r_formula, n_bound, n_exact, zeta2, L * zeta2, needed)
+    return RecurrenceReport(r_formula, n_bound, n_exact, zeta2, L * zeta2)
 
 
 @dataclass(frozen=True)

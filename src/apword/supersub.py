@@ -99,8 +99,7 @@ def lift_identity_family(sub: Substitution, partition: Partition, ks,
         if k < 1:
             raise SubstitutionError("family parameters must be >= 1")
         d = identity_difference(L, k, e)
-        out.append(DifferenceFamily("lifted-identity", (k,), d, L**k, None,
-                                    "quotient-identity-columns"))
+        out.append(DifferenceFamily("lifted-identity", (k,), d, L**k, None))
     return out
 
 

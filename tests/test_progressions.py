@@ -546,9 +546,11 @@ def test_a_of_d_matches_rescan_schedule(name):
 class PlantedSource:
     """Prefix source stub: letters 0/1 that never repeat at distance d, plus one
     progression of the letter 2 with difference d. Records every request.
+    It claims to be the prefix of fp under coding, so a_of_d accepts it.
     """
 
-    def __init__(self, n, d, start, length):
+    def __init__(self, n, d, start, length, fp=None, coding=None):
+        self.fp, self.coding = fp, coding
         self.word = (np.arange(n) // d % 2).astype(np.uint8)
         self.word[start:start + (length - 1) * d + 1:d] = 2
         self.requested = []
@@ -566,13 +568,29 @@ def test_a_of_d_stops_once_the_witness_ends_before_the_previous_window(end, wind
     b = get_builtin("rs")
     fp, coding = b.fixed_point(), b.coding("spin")  # not injective: no certification
     policy = ScanPolicy(initial_prefix=1024, prefix_cap=2**13)
-    src = PlantedSource(policy.prefix_cap, d, start, length)
+    src = PlantedSource(policy.prefix_cap, d, start, length, fp, coding)
     res = a_of_d(fp, coding, d, policy, source=src)
     assert (res.best_len, res.best_start, res.prefix_len) == (length, start, windows[-1])
     assert src.requested == windows  # one window, so one kernel call, per doubling
-    rescan = PlantedSource(policy.prefix_cap, d, start, length)
+    rescan = PlantedSource(policy.prefix_cap, d, start, length, fp, coding)
     assert a_of_d_by_rescan(fp, coding, d, policy, source=rescan) == res
     assert rescan.requested == [1024] + windows
+
+
+def test_a_of_d_rejects_a_source_of_another_word():
+    # the tm:3 word at d = 3 under the tm:2 bound certified best_len 2; A(3) is 8
+    fp = get_builtin("tm:2").fixed_point()
+    policy = ScanPolicy(r_override=9)
+    rs = get_builtin("rs")
+    for src in (PrefixSource(get_builtin("tm:3").fixed_point()),
+                PrefixSource(rs.fixed_point(), rs.coding("spin"))):
+        with pytest.raises(SubstitutionError, match="another fixed point or coding"):
+            a_of_d(fp, None, 3, policy, source=src)
+    rs_fp = rs.fixed_point()
+    with pytest.raises(SubstitutionError):  # same word, other coding
+        a_of_d(rs_fp, rs.coding("spin"), 3, policy, source=PrefixSource(rs_fp))
+    own = a_of_d(fp, None, 3, policy, source=PrefixSource(get_builtin("tm:2").fixed_point()))
+    assert (own.best_len, own.status) == (8, EXACT)
 
 
 def test_scan_generates_its_prefix_once(monkeypatch):
@@ -648,7 +666,7 @@ def test_a_of_d_certification():
 
 def test_a_of_d_certification_with_exact_recurrence():
     tm3 = get_builtin("tm:3")
-    rep = recurrence_constants(tm3.substitution, "exact")
+    rep = recurrence_constants(tm3.substitution)
     res = a_of_d(tm3.fixed_point(), None, 13, ScanPolicy(r_override=rep.r_exact))
     assert res.status == EXACT and res.best_len >= 3
 

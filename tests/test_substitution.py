@@ -185,17 +185,16 @@ def test_induced_two_block_decollaring(name):
 
 
 def test_recurrence_formula_values():
-    rep = recurrence_constants(TM, "formula")
-    assert rep.r_formula == 4094  # 2*2**11 - 2
-    assert rep.n_bound == 11
-    assert rep.n_exact is None
-    # the pair-cover bound depends on c only: c=3, L=5 gives 3**4 - 2*3**2 + 3
     from apword.substitution import recurrence_formula
+    assert recurrence_formula(2, 2) == (4094, 11)  # R = 2*2**11 - 2, N = 11
+    rep = recurrence_constants(TM)
+    assert (rep.r_formula, rep.n_bound) == (4094, 11)
+    # the pair-cover bound depends on c only: c=3, L=5 gives 3**4 - 2*3**2 + 3
     assert recurrence_formula(3, 5)[1] == 66
 
 
 def test_recurrence_exact_tm():
-    rep = recurrence_constants(TM, "exact")
+    rep = recurrence_constants(TM)
     assert rep.n_exact == 3
     assert rep.zeta2_exact == 8  # frozen from the scan; yields the known R = 16
     assert rep.r_exact == 16
@@ -233,9 +232,10 @@ def test_min_pair_cover_power_builds_no_recurrence_constant(monkeypatch):
     assert min_pair_cover_power(TM) == 3
 
 
-def test_recurrence_exact_cap_diagnostic():
+def test_recurrence_exact_cap_diagnostic(monkeypatch):
+    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 100)
     with pytest.raises(ResourceCapError):
-        recurrence_constants(TM, "exact", practical_cap=100)
+        recurrence_constants(TM)
 
 
 def test_base_digits_rejects_inputs_without_digits():
@@ -248,12 +248,12 @@ def test_base_digits_rejects_inputs_without_digits():
 
 def test_recurrence_exact_length_one_raises():
     with pytest.raises(SubstitutionError):
-        recurrence_constants(parse_substitution("a -> a"), "exact")
+        recurrence_constants(parse_substitution("a -> a"))
 
 
 def test_recurrence_exact_huge_pair_cover_bound():
     # c = 25 gives n_bound = 389378; the default cap is L**(n_bound + 2), no loop
-    rep = recurrence_constants(get_builtin("vandermonde:5").substitution, "exact")
+    rep = recurrence_constants(get_builtin("vandermonde:5").substitution)
     assert (rep.n_bound, rep.n_exact) == (389378, 4)
     assert rep.r_exact == 5 * rep.zeta2_exact
 
