@@ -116,18 +116,9 @@ def generate_group(sub: Substitution) -> ColumnGroup:
     for g in elements:
         exponent = lcm(exponent, perm_order(g))
     abelian = all(compose(a, b) == compose(b, a) for a in gens for b in gens)
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                if s[x] not in orbit:
-                    orbit.add(s[x])
-                    nxt.append(s[x])
-        frontier = nxt
+    transitive = len({g[0] for g in elements}) == c  # orbit of 0 under the group
     return ColumnGroup(frozenset(elements), gens, len(elements), exponent, abelian,
-                       len(orbit) == c)
+                       transitive)
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,7 @@ def upper_bound(sub: Substitution, d: int) -> int | None:
     if gcd(d, L ** (N + M)) == ell:
         candidates.append(L ** (N + M) // ell)
 
-    q, _, _ = min_prime_power(L)
+    q = min_prime_power(L)
     M2 = 1
     while q**M2 <= d:
         M2 += 1

@@ -61,10 +61,11 @@ def spin_system_from_json(data: dict) -> SpinSystem:
     try:
         modulus = int(data["modulus"])
         matrix = tuple(tuple(int(x) for x in row) for row in data["matrix"])
+        digits = data.get("digits")
+        digits = None if digits is None else int(digits)
     except (KeyError, TypeError, ValueError) as exc:
         raise SubstitutionError(f"bad spin matrix JSON: {exc}") from None
-    digits = data.get("digits")
-    if digits is not None and int(digits) != len(matrix):
+    if digits is not None and digits != len(matrix):
         raise SubstitutionError("digit count does not match matrix size")
     return SpinSystem(modulus, matrix)
 

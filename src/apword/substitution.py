@@ -50,7 +50,7 @@ class Alphabet:
     def index(self, letter: str) -> int:
         try:
             return _index_map(self.letters)[letter]
-        except KeyError:
+        except (KeyError, TypeError):  # unhashable tokens from JSON sources
             raise SubstitutionError(f"unknown letter {letter!r}") from None
 
     def word_str(self, indices) -> str:
@@ -159,14 +159,14 @@ def _parse_json_substitution(source: str) -> Substitution:
         raise ParseError(f"bad JSON substitution: {exc}") from None
     if not isinstance(data, dict) or "rules" not in data:
         raise ParseError("JSON substitution needs an object with a 'rules' field")
-    rules = data["rules"]
-    letters = data.get("alphabet") or sorted(rules)
+    rules, letters = data["rules"], data.get("alphabet") or []
+    if not isinstance(rules, dict) or not isinstance(letters, list) \
+            or not all(isinstance(x, str) for x in letters):
+        raise ParseError("JSON substitution needs a 'rules' object and an 'alphabet' string list")
+    letters = letters or sorted(rules)
     words = {}
     for letter, word in rules.items():
         words[letter] = list(word) if isinstance(word, list) else _tokenize_rule_word(str(word))
-    for letter in letters:
-        if letter not in words:
-            raise ParseError(f"missing rule for letter {letter!r}")
     return Substitution.from_words(letters, words)
 
 
@@ -376,7 +376,7 @@ def min_pair_cover_power(sub: Substitution) -> int:
     if not is_primitive(sub):
         raise SubstitutionError("pair-cover power needs a primitive substitution")
     target = _legal_index_words(sub, 2)
-    bound = _pair_cover_bound(sub.size)
+    bound = pair_cover_bound(sub.size)
     for n, pairs in enumerate(_pair_sets_by_level(sub), start=1):
         if all(pairs[a] >= target for a in range(sub.size)):
             return n
@@ -399,14 +399,14 @@ class RecurrenceReport:
             raise SubstitutionError("exact pair-cover power exceeds its bound")
 
 
-def _pair_cover_bound(c: int) -> int:
+def pair_cover_bound(c: int) -> int:
     """Generic bound N on the pair-cover power of a primitive c-letter substitution."""
     return c**4 - 2 * c**2 + 3
 
 
 def recurrence_formula(c: int, L: int) -> tuple[int, int]:
     """Generic recurrence constant R = 2L^N - L and pair-cover bound N for c letters, length L."""
-    n_bound = _pair_cover_bound(c)
+    n_bound = pair_cover_bound(c)
     return 2 * L**n_bound - L, n_bound
 
 

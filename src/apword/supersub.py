@@ -62,15 +62,13 @@ def check_partition(sub: Substitution, partition: Partition) -> PartitionCheck:
     rules = []
     for i, block in enumerate(partition.blocks):
         rule = []
+        ref = min(block)
         for ell in range(sub.length):
-            images = {sub.rules[a][ell] for a in block}
-            targets = {theta[x] for x in images}
-            if len(targets) > 1:
-                ref = min(block)
-                for a in sorted(block):
-                    if theta[sub.rules[a][ell]] != theta[sub.rules[ref][ell]]:
-                        return PartitionCheck(False, violation=(ell, i, ref, a))
-            rule.append(theta[next(iter(images))])
+            t = theta[sub.rules[ref][ell]]
+            for a in sorted(block):
+                if theta[sub.rules[a][ell]] != t:
+                    return PartitionCheck(False, violation=(ell, i, ref, a))
+            rule.append(t)
         rules.append(tuple(rule))
     names = Alphabet(tuple(str(i + 1) for i in range(n)))
     return PartitionCheck(True, theta, Substitution(names, tuple(rules)))
@@ -197,59 +195,18 @@ class SetGraph:
         return "{" + ",".join(self.alphabet.letters[i] for i in sorted(node)) + "}"
 
 
-def _strongly_connected(nodes, succ):
-    """Iterative Tarjan; returns a list of components, each a set of nodes."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    x = stack.pop()
-                    on_stack.discard(x)
-                    comp.add(x)
-                    if x == node:
-                        break
-                components.append(comp)
-    return components
-
-
 def graph_of_sets(sub: Substitution) -> SetGraph:
     """Digraph of column images of alphabet subsets, reachable from the full set.
 
-    Minimal nodes are the smallest sets inside closed bottom components; their
-    common size is the column number.
+    The column number is the size of the smallest node, and the minimal sets
+    are all nodes of that size. This is exact: every node but the full set is
+    f(A) for f in the semigroup S generated by the columns, and |f(A)| = rank f.
+    Let m be the least rank in S. For f and h of rank m, h.f is in S, so its
+    rank is at least m, and its image lies in h(A), which has m letters; so
+    h.f(A) = h(A), and every size-m node reaches every other one. Edges never
+    grow a set, so the size-m nodes form one closed strongly connected
+    component. Any node B reaches h(B) = h(A) in the same way, so that
+    component is the only bottom one.
     """
     full = frozenset(range(sub.size))
     edges: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
@@ -262,19 +219,8 @@ def graph_of_sets(sub: Substitution) -> SetGraph:
                 seen.add(t)
                 order.append(t)
 
-    succ = {node: set(ts) - {node} for node, ts in edges.items()}
-    components = _strongly_connected(list(edges), succ)
-    comp_of = {}
-    for i, comp in enumerate(components):
-        for node in comp:
-            comp_of[node] = i
-    sinks = []
-    for i, comp in enumerate(components):
-        if all(comp_of[t] == i for node in comp for t in edges[node]):
-            sinks.append(comp)
-    sink_nodes = [node for comp in sinks for node in comp]
-    column_number = min(len(node) for node in sink_nodes)
-    minimal = frozenset(node for node in sink_nodes if len(node) == column_number)
+    column_number = min(map(len, order))
+    minimal = frozenset(node for node in order if len(node) == column_number)
     return SetGraph(sub.alphabet, tuple(order), edges, minimal, column_number)
 
 

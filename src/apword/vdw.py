@@ -5,10 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import SubstitutionError
-from .substitution import recurrence_formula
+from .errors import ResourceCapError, SubstitutionError
+from .substitution import pair_cover_bound, recurrence_formula
 
 FACTOR_CAP = 2**63
+MAX_DIGITS = 4300  # Python's default int-to-str limit; results are reported in decimal
+_LIMIT = 10**MAX_DIGITS
+
+
+def _cap_digits(what: str, value: int = 0, log2_floor: int = 0) -> int:
+    """value, refused when it, or any value >= 2**log2_floor, has over MAX_DIGITS digits.
+
+    The floor form lets a caller refuse a power before building it.
+    """
+    if value >= _LIMIT or log2_floor >= _LIMIT.bit_length():
+        raise ResourceCapError(f"{what} would have more than {MAX_DIGITS} decimal digits")
+    return value
 
 
 def ceil_log(base: int, value: int) -> int:
@@ -42,14 +54,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def min_prime_power(L: int) -> tuple[int, int, int]:
-    """The smallest maximal prime-power factor q = p**a of L, with (q, p, a)."""
-    best = None
-    for p, a in factorize(L):
-        q = p**a
-        if best is None or q < best[0]:
-            best = (q, p, a)
-    return best
+def min_prime_power(L: int) -> int:
+    """The smallest maximal prime-power factor p**a of L."""
+    return min(p**a for p, a in factorize(L))
 
 
 def ceil_growth_exponent(L: int) -> tuple[int, int]:
@@ -57,7 +64,7 @@ def ceil_growth_exponent(L: int) -> tuple[int, int]:
 
     Returned as (ceiling, q); the ceiling is the least t with q**t >= L.
     """
-    q, _, _ = min_prime_power(L)
+    q = min_prime_power(L)
     return ceil_log(q, L), q
 
 
@@ -84,9 +91,16 @@ def vdw_upper(q: VdwQuery) -> int:
 
 def vdw_upper_report(q: VdwQuery) -> dict:
     k = ceil_log(q.L, q.M)
-    R = q.r_override if q.r_override is not None else recurrence_formula(q.c, q.L)[0]
-    E = q.exponent_override if q.exponent_override is not None else factorial(q.c)
-    value = (R + 1) * q.L ** (k * E)
+    log_l = q.L.bit_length() - 1  # L**n >= 2**(n * log_l)
+    if q.r_override is None:
+        _cap_digits("R", log2_floor=pair_cover_bound(q.c) * log_l)  # R + 1 >= L**N
+    if q.exponent_override is None:
+        _cap_digits("E = c!", log2_floor=q.c - 1)  # c! >= 2**(c-1)
+    R = q.r_override or recurrence_formula(q.c, q.L)[0]
+    E = q.exponent_override or factorial(q.c)
+    _cap_digits("the bound", log2_floor=k * E * log_l + R.bit_length() - 1)
+    value = _cap_digits("the bound", (R + 1) * q.L ** (k * E))
+    _cap_digits("E", E)
     return {
         "c": q.c,
         "L": q.L,
@@ -115,7 +129,10 @@ def vdw_lower(c: int, L: int, m: int) -> VdwLowerResult:
     """
     if c < 2 or m < 2 or L < 2:
         raise SubstitutionError("need c > 1, m > 1, L >= 2")
-    n0 = recurrence_formula(c, L)[1]
+    n0 = pair_cover_bound(c)
     ceil_b, q = ceil_growth_exponent(L)
+    _cap_digits("the window length", log2_floor=(n0 + 1) * (L.bit_length() - 1)
+                + (ceil_b + 1) * (m.bit_length() - 1))
     base = L ** (n0 + 1)
-    return VdwLowerResult(base * m**ceil_b + 1, base * m ** (ceil_b + 1) + 1, n0, ceil_b, q)
+    window = _cap_digits("the window length", base * m ** (ceil_b + 1) + 1)
+    return VdwLowerResult(base * m**ceil_b + 1, window, n0, ceil_b, q)

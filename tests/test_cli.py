@@ -63,6 +63,25 @@ def test_analyze_parse_failure_exit_1(tmp_path: Path):
     assert "unequal rule lengths" in cp.stderr
 
 
+SPIN = '"matrix": [[0, 0], [0, 1]], "modulus": 2'
+
+
+@pytest.mark.parametrize("source", [
+    '{"rules": 5}',
+    '{"rules": []}',
+    '{"rules": "ab"}',
+    '{"rules": {"a": "a"}, "alphabet": 5}',
+    '{"rules": {"a": "ab", "b": "ba"}, "alphabet": [["a"], "b"]}',
+    '{"rules": {"a": [["a"], "b"], "b": "ba"}}',
+    "{" + SPIN + ', "digits": "x"}',
+    "{" + SPIN + ', "digits": [2]}',
+])
+def test_malformed_json_source_exit_1(source):
+    cp = run_cli("analyze", "--rules", source)
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
+
+
 def test_bad_flags_exit_1():
     cp = run_cli("analyze")
     assert cp.returncode == 1
@@ -84,6 +103,18 @@ def test_vdw_lower():
     data = json.loads(cp.stdout)["vdw_lower"]
     assert data["progression_length"] == "8193"
     assert data["window_length"] == "16385"
+
+
+@pytest.mark.parametrize("args", [
+    ("upper", "--c", "8", "--L", "2", "--M", "2"),    # past the 4300-digit limit of str()
+    ("lower", "--c", "12", "--L", "2", "--m", "2"),
+    ("upper", "--c", "20", "--L", "2", "--M", "2"),   # L**(k*20!) would exhaust memory
+])
+def test_vdw_past_the_decimal_digit_limit_exit_3(args):
+    cp = run_cli("vdw", *args)
+    assert cp.returncode == 3, cp.stderr
+    assert cp.stderr.startswith("resource cap: ") and "more than 4300 decimal digits" in cp.stderr
+    assert "Traceback" not in cp.stderr
 
 
 def test_graph_outlook6(tmp_path: Path):

@@ -1,14 +1,20 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apword import (
+    Alphabet,
     Partition,
+    Substitution,
     SubstitutionError,
     check_partition,
     export_dot,
+    generate_group,
     get_builtin,
     graph_of_sets,
+    induced_partition,
     letter_at,
     lift_column_family,
     lift_identity_family,
@@ -188,3 +194,111 @@ def test_export_dot_degenerate_length_one():
     g = graph_of_sets(parse_substitution("a -> a"))
     dot = export_dot(g)
     assert "n0 -> n0" in dot and 'label="0"' in dot
+
+
+GRAPH_BUILTINS = ["a4-example", "c3-invpal", "s3-noninvpal", "supersub5", "supersub6",
+                  "outlook6", "rs", "hadamard4", "tm:2", "tm:3", "tm:5", "vandermonde:3",
+                  "vandermonde:5"]
+
+
+@st.composite
+def substitutions(draw, bijective=False):
+    """Random substitutions, c <= 6 letters of length L <= 5, L = 1 included."""
+    c = draw(st.integers(1, 6))
+    L = draw(st.integers(1, 5))
+    if bijective:
+        cols = [draw(st.permutations(range(c))) for _ in range(L)]
+        rules = tuple(tuple(col[a] for col in cols) for a in range(c))
+    else:
+        rules = tuple(tuple(draw(st.lists(st.integers(0, c - 1), min_size=L, max_size=L)))
+                      for _ in range(c))
+    return Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), rules)
+
+
+def bottom_sets_oracle(sub):
+    """(column number, minimal sets) from plain reachability: a node is in a
+    bottom component when every node it reaches reaches it back."""
+    def images(node):
+        return {frozenset(sub.rules[a][i] for a in node) for i in range(sub.length)}
+
+    def reach(node):
+        seen, todo = {node}, [node]
+        while todo:
+            for t in images(todo.pop()) - seen:
+                seen.add(t)
+                todo.append(t)
+        return seen
+
+    nodes = reach(frozenset(range(sub.size)))
+    reaches = {n: reach(n) for n in nodes}
+    bottom = [n for n in nodes if all(n in reaches[m] for m in reaches[n])]
+    size = min(map(len, bottom))
+    return nodes, size, {n for n in bottom if len(n) == size}
+
+
+def assert_graph_matches_oracle(sub):
+    g = graph_of_sets(sub)
+    nodes, column_number, minimal = bottom_sets_oracle(sub)
+    assert set(g.nodes) == nodes
+    assert g.column_number == column_number
+    assert g.minimal == minimal
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sub=substitutions())
+def test_graph_of_sets_matches_bottom_component_oracle(sub):
+    assert_graph_matches_oracle(sub)
+
+
+@pytest.mark.parametrize("name", GRAPH_BUILTINS)
+def test_graph_of_sets_matches_oracle_on_builtins(name):
+    assert_graph_matches_oracle(get_builtin(name).substitution)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sub=substitutions(bijective=True))
+def test_group_transitivity_matches_orbit_closure(sub):
+    orbit, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for y in sub.rules[x]:  # the images of x under every column
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    assert generate_group(sub).transitive == (len(orbit) == sub.size)
+
+
+@st.composite
+def partitioned_substitutions(draw):
+    """A substitution and a partition: arbitrary labels, or the induced closure
+    of random pairs so that compatible partitions occur too."""
+    sub = draw(substitutions())
+    c = sub.size
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, c - 1), st.integers(0, c - 1)),
+                              max_size=3))
+        return sub, induced_partition(sub, pairs)
+    labels = draw(st.lists(st.integers(0, c - 1), min_size=c, max_size=c))
+    groups = {}
+    for a, label in enumerate(labels):
+        groups.setdefault(label, set()).add(a)
+    return sub, Partition(tuple(sorted(map(frozenset, groups.values()), key=min)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=partitioned_substitutions())
+def test_check_partition_matches_first_violation(case):
+    sub, part = case
+    theta = {a: i for i, block in enumerate(part.blocks) for a in block}
+    expected = None
+    for i, block in enumerate(part.blocks):
+        for ell in range(sub.length):
+            ref = min(block)
+            bad = [a for a in block if theta[sub.rules[a][ell]] != theta[sub.rules[ref][ell]]]
+            if bad and expected is None:
+                expected = (ell, i, ref, min(bad))
+    res = check_partition(sub, part)
+    assert res.violation == expected and res.ok == (expected is None)
+    if res.ok:
+        for a in range(sub.size):
+            assert list(res.quotient.rules[theta[a]]) == [theta[x] for x in sub.rules[a]]
