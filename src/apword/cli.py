@@ -273,7 +273,7 @@ def _add_scan_flags(p: argparse.ArgumentParser):
     p.add_argument("--initial-prefix", type=int, default=2**20)
     p.add_argument("--prefix-cap", type=int, default=2**26)
     p.add_argument("--r-override", type=int, default=None,
-                   help="trusted linear recurrence constant for exactness certification")
+                   help="checked but no longer read: exactness comes from the 2-word cover")
 
 
 def build_parser() -> _Parser:

@@ -1,15 +1,17 @@
 """Maximum monochromatic arithmetic progressions at fixed difference.
 
-Scans prefixes of (coded) substitution fixed points, certifies exactness when
-a recurrence-complete window covers a theoretical upper bound, and generates
-the predicted difference families together with their verification harness.
+Scans prefixes of (coded) substitution fixed points, certifies exactness
+through the 2-word cover, and generates the predicted difference families
+together with their verification harness.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,10 +29,9 @@ from .substitution import (
     Substitution,
     column,
     min_pair_cover_power,
-    recurrence_formula,
     star_defect,
 )
-from .vdw import min_prime_power
+from .vdw import ceil_log, min_prime_power
 
 EXACT = "ExactUnderBound"
 LOWER = "LowerBoundOnly"
@@ -55,7 +56,7 @@ class ScanPolicy:
     r_override: int | None = None
 
     def __post_init__(self):
-        # R < 1 would make every window "recurrence-complete" and certify anything
+        # r_override is still validated but no longer read: the 2-word cover needs no R
         if self.initial_prefix < 1 or self.prefix_cap < 1:
             raise SubstitutionError("initial prefix and prefix cap must be >= 1")
         if self.r_override is not None and self.r_override < 1:
@@ -334,16 +335,44 @@ def upper_bound(sub: Substitution, d: int) -> int | None:
     return min(candidates)
 
 
-def _certified_window(sub: Substitution, coding: Coding | None, d: int,
-                      r_override: int | None) -> int | None:
-    """Prefix length that makes a scan at difference d provably exhaustive."""
-    if coding is not None and not coding.is_injective:
+@lru_cache(maxsize=None)
+def _two_words(fp: FixedPointSpec) -> MappingProxyType:
+    """W2, the 2-words of x = σ^p(x), each mapped to the index of its first occurrence.
+
+    For m = i·L^p + j with j < L^p, x[m, m+2) = σ^p(x_i x_{i+1})[j, j+2), so the
+    first occurrence of a 2-word is the least first(uv)·L^p + j over the 2-words
+    uv and offsets j that give it: shortest paths from x_0 x_1, read off the rules.
+    """
+    images = [fp.sub.expand(a, fp.power) for a in range(fp.sub.size)]
+    first, heap = {}, [(0, fp.seed, images[fp.seed][1])]
+    while heap:
+        i, a, b = heapq.heappop(heap)
+        if (a, b) not in first:
+            first[a, b] = i
+            w = images[a] + images[b]
+            for j in range(len(images[a])):
+                heapq.heappush(heap, (i * len(images[a]) + j, w[j], w[j + 1]))
+    return MappingProxyType(first)
+
+
+def _two_word_cover(fp: FixedPointSpec) -> int:
+    """i2 + 2, for i2 the largest first-occurrence index of a 2-word of the fixed point."""
+    return max(_two_words(fp).values()) + 2
+
+
+def _certified_window(fp: FixedPointSpec, coding: Coding | None, d: int,
+                      best_len: int) -> int | None:
+    """Prefix length that proves a best length found inside it to be A(d), or None.
+
+    x is the concatenation of the blocks σ^k(x_i), B = L^k >= best_len * d long, so
+    best_len + 1 terms, B + 1 letters at most, would lie in some σ^k(x_i x_{i+1}), which
+    has a copy in [0, (i2 + 2)B). None outside the domain: power 1, injective coding, U(d).
+    """
+    if fp.power != 1 or (coding is not None and not coding.is_injective) \
+            or upper_bound(fp.sub, d) is None:
         return None
-    bound = upper_bound(sub, d)
-    if bound is None:
-        return None
-    R = r_override if r_override is not None else recurrence_formula(sub.size, sub.length)[0]
-    return (R + 1) * (d * bound + 1)
+    L = fp.sub.length
+    return _two_word_cover(fp) * L ** ceil_log(L, best_len * d)
 
 
 def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
@@ -357,37 +386,34 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
     equal exactly when a longest progression of the larger window lies in the
     first half, and then the leftmost one does too, since it ends first. So
     the scan stops once the leftmost witness ends before the previous window
-    does.
+    does, unless the certified window for the best length is larger and fits
+    under the cap; then it keeps doubling.
 
-    Status is ExactUnderBound only when the substitution admits an upper bound
-    and the final window is recurrence-complete for it; plateaus alone never
-    certify anything. A source must have been built for the same fixed point
-    and coding, since the bound is taken from fp and the letters from source.
+    Status is ExactUnderBound only when the final window covers the certified
+    window for its best length; plateaus alone never certify anything. A
+    source must have been built for the same fixed point and coding, since
+    the cover is taken from fp and the letters from source.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
-    if 2 * d + 1 > policy.prefix_cap:
-        raise ResourceCapError(
-            f"difference {d} does not fit two terms inside the cap {policy.prefix_cap}"
-        )
+    cap = policy.prefix_cap
+    if 2 * d + 1 > cap:
+        raise ResourceCapError(f"difference {d} does not fit two terms inside the cap {cap}")
     if source is not None and (source.fp != fp or source.coding != coding):
         raise SubstitutionError("prefix source was built for another fixed point or coding")
     src = source if source is not None else PrefixSource(fp, coding)
-    target = None
-    if fp.power == 1:
-        target = _certified_window(fp.sub, coding, d, policy.r_override)
     window = policy.initial_prefix
     if hint_lower:
         window = max(window, 64 * d * hint_lower)
-    if target is not None and target <= policy.prefix_cap:
-        window = max(window, target)
-    window = min(window, policy.prefix_cap)
+    window = min(window, cap)
     while True:
-        head, window = window, min(2 * window, policy.prefix_cap)
+        head, window = window, min(2 * window, cap)
         best = max_ap_in_prefix(src.get(window), d)
-        if window == policy.prefix_cap or best.best_start + (best.best_len - 1) * d < head:
+        target = _certified_window(fp, coding, d, best.best_len)
+        short = target is not None and window < target <= cap
+        if window == cap or not short and best.best_start + (best.best_len - 1) * d < head:
             break
-    if target is not None and best.prefix_len >= target:
+    if target is not None and window >= target:
         best = replace(best, status=EXACT)
     return best
 

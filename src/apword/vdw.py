@@ -9,6 +9,7 @@ from .errors import ResourceCapError, SubstitutionError
 from .substitution import pair_cover_bound, recurrence_formula
 
 FACTOR_CAP = 2**63
+TRIAL_LIMIT = 2**20  # about 0.1 s of trial division
 MAX_DIGITS = 4300  # Python's default int-to-str limit; results are reported in decimal
 _LIMIT = 10**MAX_DIGITS
 
@@ -36,12 +37,12 @@ def ceil_log(base: int, value: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, primes ascending."""
+    """Prime factorization by trial division up to TRIAL_LIMIT, primes ascending."""
     if not 2 <= n < FACTOR_CAP:
         raise SubstitutionError(f"factorization supported for 2 <= n < {FACTOR_CAP}")
     out = []
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= TRIAL_LIMIT:
         if n % p == 0:
             a = 0
             while n % p == 0:
@@ -49,6 +50,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 a += 1
             out.append((p, a))
         p += 1 if p == 2 else 2
+    if p * p <= n:
+        raise ResourceCapError(f"{n} has no prime factor up to {TRIAL_LIMIT}")
     if n > 1:
         out.append((n, 1))
     return out

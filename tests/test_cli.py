@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,18 @@ def test_vdw_past_the_decimal_digit_limit_exit_3(args):
     assert cp.returncode == 3, cp.stderr
     assert cp.stderr.startswith("resource cap: ") and "more than 4300 decimal digits" in cp.stderr
     assert "Traceback" not in cp.stderr
+
+
+def test_vdw_lower_length_past_trial_division_exit_3():
+    start = time.monotonic()
+    cp = run_cli("vdw", "lower", "--c", "2", "--L", str(2**61 - 1), "--m", "2")
+    assert cp.returncode == 3, cp.stderr
+    assert cp.stderr.startswith("resource cap: ") and "no prime factor up to" in cp.stderr
+    assert time.monotonic() - start < 10  # trial division to sqrt(2**61) ran past 20 s
+    for L, q in ((10**9 + 7, 10**9 + 7), (2**62, 2**62)):
+        cp = run_cli("vdw", "lower", "--c", "2", "--L", str(L), "--m", "2")
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout)["vdw_lower"]["prime_power"] == q
 
 
 def test_graph_outlook6(tmp_path: Path):

@@ -3,15 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import apword.progressions
 import apword.stream
 from apword import (
+    Alphabet,
+    Coding,
+    FixedPointSpec,
     PrefixSource,
     ResourceCapError,
     ScanPolicy,
+    Substitution,
     SubstitutionError,
     a_of_d,
     builtin_names,
@@ -33,9 +37,12 @@ from apword.progressions import (
     PackedWord,
     _certification_basis,
     _certified_window,
+    _two_word_cover,
+    _two_words,
     palindromic_member,
 )
-from apword.stream import PREFIX_CAP
+from apword.stream import PREFIX_CAP, _cycle_length
+from apword.substitution import _legal_index_words
 from ap_oracle import max_ap_oracle
 
 SMALL = ScanPolicy(initial_prefix=2**16, prefix_cap=2**20)
@@ -105,15 +112,13 @@ def max_ap_dense(word, d: int) -> tuple[int, int]:
 
 def a_of_d_by_rescan(fp, coding, d, policy=ScanPolicy(), *, hint_lower=None, source=None):
     """Reference window schedule: scans both windows of every doubling and
-    stops when their best lengths agree.
+    stops when their best lengths agree and the certified window for that
+    length is covered, over the cap or absent.
     """
     src = source if source is not None else PrefixSource(fp, coding)
-    target = _certified_window(fp.sub, coding, d, policy.r_override) if fp.power == 1 else None
     window = policy.initial_prefix
     if hint_lower:
         window = max(window, 64 * d * hint_lower)
-    if target is not None and target <= policy.prefix_cap:
-        window = max(window, target)
     window = min(window, policy.prefix_cap)
     best = max_ap_in_prefix(src.get(window), d)
     while window < policy.prefix_cap:
@@ -121,8 +126,10 @@ def a_of_d_by_rescan(fp, coding, d, policy=ScanPolicy(), *, hint_lower=None, sou
         nxt = max_ap_in_prefix(src.get(window), d)
         stable = nxt.best_len == best.best_len
         best = nxt
-        if stable:
+        target = _certified_window(fp, coding, d, best.best_len)
+        if stable and (target is None or not window < target <= policy.prefix_cap):
             break
+    target = _certified_window(fp, coding, d, best.best_len)
     if target is not None and best.prefix_len >= target:
         best = replace(best, status=EXACT)
     return best
@@ -526,7 +533,7 @@ RESCAN_POLICIES = [
     (ScanPolicy(initial_prefix=3000, prefix_cap=5000), None),  # 2 * initial > cap
     (ScanPolicy(initial_prefix=64, prefix_cap=2**15), None),  # d >= initial from d = 64 on
     (ScanPolicy(initial_prefix=2**10, prefix_cap=2**16), 3),  # hint_lower
-    (ScanPolicy(initial_prefix=2**12, prefix_cap=2**18, r_override=9), None),
+    (ScanPolicy(initial_prefix=2**12, prefix_cap=2**18, r_override=9), None),  # not read
 ]
 
 
@@ -656,17 +663,116 @@ def test_a_of_d_certification():
     certified = a_of_d(fp, None, 3, ScanPolicy(r_override=9))
     assert certified.status == EXACT
     assert certified.best_len == 8  # frozen from the certified scan
-    # generic recurrence constant also certifies here: 4095 * 97 fits 2**20
-    generic = a_of_d(fp, None, 3, ScanPolicy())
-    assert generic.status == EXACT and generic.best_len == 8
+    # r_override is not read: the cover certifies with or without it
+    assert a_of_d(fp, None, 3, ScanPolicy()) == certified
+    # i2 = 5 and 8 * 3 <= 32, so the certified window is 7 * 32 = 224 letters
+    assert _certified_window(fp, None, 3, 8) == 224
+    exact = a_of_d(fp, None, 3, ScanPolicy(initial_prefix=112, prefix_cap=224))
+    assert (exact.best_len, exact.prefix_len, exact.status) == (8, 224, EXACT)
     # a cap below the certified window stays an honest lower bound
-    uncert = a_of_d(fp, None, 3, ScanPolicy(initial_prefix=2**16, prefix_cap=2**18))
-    assert uncert.status == LOWER
+    uncert = a_of_d(fp, None, 3, ScanPolicy(initial_prefix=100, prefix_cap=223))
+    assert (uncert.best_len, uncert.status) == (8, LOWER)
+
+
+@st.composite
+def small_fixed_points(draw):
+    """Fixed points of random substitutions with c <= 4 and 2 <= L <= 4, primitive
+    or not, at up to twice the cycle length of the seed under the first column.
+    """
+    c, L = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    rules = tuple(tuple(draw(st.lists(st.integers(0, c - 1), min_size=L, max_size=L)))
+                  for _ in range(c))
+    sub = Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), rules)
+    seed = draw(st.sampled_from([a for a in range(c) if _cycle_length(sub, a) is not None]))
+    return FixedPointSpec(sub, seed, _cycle_length(sub, seed) * draw(st.integers(1, 2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fp=small_fixed_points())
+def test_two_word_cover_matches_the_first_occurrences_in_a_prefix(fp):
+    cover = _two_word_cover(fp)
+    x = prefix(fp, max(2**14, 2 * cover)).astype(np.int64)  # a cover too small shows past it
+    codes, first = np.unique(x[:-1] * fp.sub.size + x[1:], return_index=True)
+    seen = {divmod(int(code), fp.sub.size): int(i) for code, i in zip(codes, first)}
+    assert dict(_two_words(fp)) == seen
+    assert cover == 2 + max(seen.values())
+
+
+def test_two_word_cover_reads_no_prefix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover read a prefix")
+
+    monkeypatch.setattr(apword.progressions, "factor", refuse)
+    monkeypatch.setattr(apword.stream, "factor", refuse)
+    for L in range(2, 13):
+        # the last new 2-word of tm:L starts at (2L - 1) * L^(L-1) - 1: 731,794,256
+        # for L = 9, which a prefix read would reach only at 2^30 letters
+        first = _two_words.__wrapped__(get_builtin(f"tm:{L}").fixed_point())
+        assert len(first) == L * L and max(first.values()) == (2 * L - 1) * L ** (L - 1) - 1
+    monkeypatch.undo()
+    for L in range(2, 8):  # the same index read off a prefix, up to 2 * 1,529,438 letters
+        fp = get_builtin(f"tm:{L}").fixed_point()
+        x = prefix(fp, 2 * _two_word_cover(fp)).astype(np.int64)
+        codes, first = np.unique(x[:-1] * L + x[1:], return_index=True)
+        assert len(codes) == L * L and first.max() + 2 == _two_word_cover(fp)
+
+
+@st.composite
+def cyclic_column_substitutions(draw):
+    """(substitution, coding): columns are powers g^e of one c-cycle g, column 0
+    the identity, inside the domain of upper_bound; the coding is None or a
+    random injective relabelling.
+    """
+    c, L = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    cycle = draw(st.permutations(range(c)))
+    g = {cycle[j]: cycle[(j + 1) % c] for j in range(c)}
+    exponents = [0] + draw(st.lists(st.integers(0, c - 1), min_size=L - 1, max_size=L - 1))
+    rules = []
+    for a in range(c):
+        image = [a]
+        for _ in range(c - 1):
+            image.append(g[image[-1]])
+        rules.append(tuple(image[e] for e in exponents))
+    sub = Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), tuple(rules))
+    assume(upper_bound(sub, 1) is not None)
+    relabel = Coding(tuple(draw(st.permutations(range(c)))), tuple(f"y{a}" for a in range(c)))
+    return sub, draw(st.sampled_from([None, relabel]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=cyclic_column_substitutions(), initial=st.integers(1, 256),
+       cap=st.integers(2**6, 2**10))
+def test_cover_certifies_the_value_of_a_far_longer_prefix(case, initial, cap):
+    sub, coding = case
+    fp = FixedPointSpec.find(sub)  # the identity column fixes every letter: power 1
+    far = prefix(fp, 2**13, coding).tolist()
+    first = {}
+    for i, pair in enumerate(zip(far, far[1:])):
+        first.setdefault(pair, i)
+    # sub is primitive, so its 2-words are the legal ones; an injective coding keeps them apart
+    assert len(first) == len(_legal_index_words(sub, 2))
+    value = {d: max_ap_oracle(far, d)[0] for d in range(1, 25)}
+    for d, a in value.items():
+        assert a <= upper_bound(sub, d)
+        block = 1
+        while block < a * d:
+            block *= sub.length
+        window = (2 + max(first.values())) * block  # the cover, derived from the prefix
+        if 2 * d + 1 < window <= 2**12:
+            row = a_of_d(fp, coding, d, ScanPolicy(initial_prefix=window, prefix_cap=window))
+            assert (row.best_len, row.status) == (a, EXACT), row
+            short = ScanPolicy(initial_prefix=window - 1, prefix_cap=window - 1)
+            assert a_of_d(fp, coding, d, short).status == LOWER
+    policy = ScanPolicy(initial_prefix=initial, prefix_cap=cap)
+    for row in scan(fp, coding, 1, min(24, (cap - 1) // 2), policy):
+        if row.status == EXACT:
+            assert row.best_len == value[row.d], row
 
 
 def test_a_of_d_certification_with_exact_recurrence():
     tm3 = get_builtin("tm:3")
     rep = recurrence_constants(tm3.substitution)
+    # r_override is accepted but not read: the 2-word cover certifies d = 13
     res = a_of_d(tm3.fixed_point(), None, 13, ScanPolicy(r_override=rep.r_exact))
     assert res.status == EXACT and res.best_len >= 3
 

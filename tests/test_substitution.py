@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apword.substitution
 from apword import (
+    Alphabet,
     ParseError,
     ResourceCapError,
+    Substitution,
     SubstitutionError,
     aperiodicity_certificate,
     column,
@@ -111,6 +115,24 @@ def test_power_column_matches_expansion(name):
             word = sub.expand(a, n)
             for k in range(sub.length**n):
                 assert power_column(sub, k, n)(a) == word[k], (name, a, k, n)
+
+
+@st.composite
+def substitutions(draw):
+    """Random substitutions with c <= 6 letters and rules of length L <= 5, L = 1 included."""
+    c, L = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rules = tuple(tuple(draw(st.lists(st.integers(0, c - 1), min_size=L, max_size=L)))
+                  for _ in range(c))
+    return Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), rules)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sub=substitutions(), data=st.data())
+def test_power_column_matches_expand_property(sub, data):
+    n = data.draw(st.integers(0, 6 if sub.length < 3 else 4))
+    words = [sub.expand(a, n) for a in range(sub.size)]
+    for k in range(sub.length**n):
+        assert power_column(sub, k, n).image == tuple(w[k] for w in words), (k, n)
 
 
 def test_power_column_known_values():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from apword import SubstitutionError, VdwQuery, vdw_lower, vdw_upper
+from apword import ResourceCapError, SubstitutionError, VdwQuery, vdw_lower, vdw_upper
 from apword.substitution import recurrence_formula
-from apword.vdw import ceil_growth_exponent, ceil_log, factorize
+from apword.vdw import TRIAL_LIMIT, ceil_growth_exponent, ceil_log, factorize
 
 
 def test_upper_known_values():
@@ -65,6 +65,18 @@ def test_factorize():
     assert factorize(97) == [(97, 1)]
     with pytest.raises(SubstitutionError):
         factorize(1)
+
+
+def test_factorize_trial_divides_up_to_a_fixed_limit():
+    assert TRIAL_LIMIT == 2**20
+    assert factorize(2**62) == [(2, 62)]
+    assert factorize(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]  # over 2**40
+    assert factorize(2**40 + 15) == [(2**40 + 15, 1)]  # prime: no factor up to its root
+    assert factorize(3 * 1048583) == [(3, 1), (1048583, 1)]
+    # no factor up to 2**20 and a cofactor over 2**40: prime or not, it is refused
+    for n in (2**61 - 1, 3 * (2**61 - 1), 1048583 * 1048589, (2**31 - 1) ** 2):
+        with pytest.raises(ResourceCapError, match="no prime factor up to 1048576"):
+            factorize(n)
 
 
 def test_query_validation():
