@@ -8,6 +8,7 @@ together with their verification harness.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
@@ -38,6 +39,7 @@ LOWER = "LowerBoundOnly"
 _PACK_CHUNK = 2**20  # letters packed per step; a multiple of 8 keeps it byte-aligned
 _BLOCK = 2**15  # mask words per block of a dense step: 256 KiB, so a block's operands stay in L2
 _SPARSE_SHARE = 16  # the gallop lists the non-zero mask words once under 1/16 of them are left
+_LEVEL_LETTERS = 2**17  # a_of_d with no hint starts at the level whose windows total about this
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,32 @@ class PackedWord:
         planes = np.zeros((max(1, int(w.max()).bit_length()), (n + 63) // 64 + 1), "<u8")
         _pack_into(planes, 0, n, lambda a, b: w[a:b])
         return cls(planes, n)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedWindows(PackedWord):
+    """Disjoint factors of a longer word, in order, packed one after another from
+    multiples of 64.
+
+    spans lists (a, b, origin) per factor: letters [a, b) of the planes are the
+    letters [origin, origin + b - a) of the longer word. The letters between
+    factors are zeros, and n is the end of the last one. The kernel counts only
+    progressions inside one factor, and reports starts in the longer word.
+    """
+    spans: tuple = ()
+
+    @classmethod
+    def pack_factors(cls, factors, planes: int, letters) -> PackedWindows:
+        """Pack letters(start, stop) of each factor [start, stop) of the longer word into
+        the given number of bit planes."""
+        spans, a = [], 0
+        for start, stop in factors:
+            spans.append((a, a + stop - start, start))
+            a += -(-(stop - start) // 64) * 64
+        packed = np.zeros((planes, a // 64 + 1), "<u8")
+        for a, b, start in spans:
+            _pack_into(packed, a, b, lambda i, j, shift=start - a: letters(i + shift, j + shift))
+        return cls(packed, spans[-1][1], tuple(spans))
 
 
 def _pack_into(planes: np.ndarray, start: int, stop: int, letters) -> None:
@@ -235,6 +263,11 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     block into the other of two buffers allocated once per call. Once fewer
     than 1/16 of its words are non-zero, their indices are listed and every
     later step reads only those words, updating the mask in place.
+
+    For PackedWindows, the bits of p_1 where i and i + d are not in one
+    factor are cleared, so every progression lies inside one factor. The
+    factors are in order, so the lowest set bit is still the least start in
+    the longer word.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
@@ -246,6 +279,13 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     mask, spare = np.empty(size + 1, "<u8"), np.empty(size + 1, "<u8")
     carry = np.empty(min(size, _BLOCK), "<u8")
     alive = _first_mask(packed, d, mask, spare, carry)
+    spans = packed.spans if isinstance(packed, PackedWindows) else ()
+    if spans:  # clear bits b - d .. a - 1 between factors; a is a multiple of 64
+        for (_, b, _), (a, _, _) in zip(spans, spans[1:]):
+            w, r = divmod(max(b - d, 0), 64)
+            mask[w] &= np.uint64((1 << r) - 1)
+            mask[w + 1:min(a // 64, size)] = 0
+        alive = np.count_nonzero(mask[:size])
     if not alive:
         return APResult(d, 1, 0, n, LOWER)
     state = _gallop_state(mask, alive, spare)
@@ -261,7 +301,11 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     p, idx, _ = state
     i = int(idx[0]) if idx is not None else int((p != 0).argmax())
     low = int(p[i])
-    return APResult(d, k + 1, 64 * i + (low & -low).bit_length() - 1, n, LOWER)
+    start = 64 * i + (low & -low).bit_length() - 1
+    if spans:  # the factor the start is in
+        a, _, origin = spans[bisect_right(spans, start, key=lambda s: s[0]) - 1]
+        start += origin - a
+    return APResult(d, k + 1, start, n, LOWER)
 
 
 class PrefixSource:
@@ -271,7 +315,10 @@ class PrefixSource:
     A growth copies the whole words already packed and packs only the letters
     after them, chunk by chunk from factor. get(n) returns a PackedWord view
     of the first n letters that shares the cached planes, so every d scanned
-    on the same prefix reuses one packing.
+    on the same prefix reuses one packing. windows(k, n) returns the level-k
+    windows of the first n letters as a view of packed windows that it keeps
+    for at most two levels: the start level _start_level(fp) and the last
+    other level asked for.
     """
 
     def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
@@ -279,6 +326,7 @@ class PrefixSource:
         self.coding = coding
         c = len(coding.names) if coding is not None else fp.sub.size
         self._word = PackedWord(np.zeros((max(1, (c - 1).bit_length()), 1), "<u8"), 0)
+        self._levels = {}
 
     def get(self, n: int) -> PackedWord:
         check_prefix(self.fp, n)
@@ -290,6 +338,27 @@ class PrefixSource:
             _pack_into(planes, 64 * whole, n, lambda a, b: factor(self.fp, a, b, self.coding))
             self._word = PackedWord(planes, n)
         return PackedWord(self._word.planes, n)
+
+    def windows(self, k: int, n: int) -> PackedWindows | None:
+        """The level-k windows of x[0, n) (_level_windows), or None if they hold over n/2 letters.
+
+        A level is packed for the windows of the longest n asked for and
+        viewed for shorter ones. n is checked as get(n) checks it.
+        """
+        check_prefix(self.fp, n)
+        factors = [(a, min(b, n)) for a, b in _level_windows(self.fp, k) if a < n]
+        if 2 * sum(b - a for a, b in factors) > n:
+            return None
+        held = self._levels.get(k)
+        end = 0 if held is None else held.spans[-1][2] + held.n - held.spans[-1][0]  # in x
+        if end < factors[-1][1]:
+            start = _start_level(self.fp)  # let the other level go before packing this one
+            self._levels = {j: w for j, w in self._levels.items() if j == start != k}
+            held = self._levels[k] = PackedWindows.pack_factors(
+                factors, len(self._word.planes), lambda a, b: factor(self.fp, a, b, self.coding))
+        spans = tuple((a, a + min(b - a, n - origin), origin)
+                      for a, b, origin in held.spans if origin < n)
+        return PackedWindows(held.planes, spans[-1][1], spans)
 
 
 @lru_cache(maxsize=None)
@@ -360,6 +429,65 @@ def _two_word_cover(fp: FixedPointSpec) -> int:
     return max(_two_words(fp).values()) + 2
 
 
+@lru_cache(maxsize=None)
+def _level_windows(fp: FixedPointSpec, k: int) -> tuple[tuple[int, int], ...]:
+    """The windows [fB, (f+2)B) at the first occurrences f of the 2-words, B = L**k, merged
+    where they overlap or touch. Their parts in [0, n) hold a copy of every
+    progression of at most B + 1 letters in x[0, n), no later than it starts.
+
+    k is a multiple of fp.power, so x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A
+    progression starting at s in block i = s // B lies in x[iB, min((i+2)B, n)),
+    a prefix of σ^k(x_i x_{i+1}), and so does x[fB, min((f+2)B, n)) as long,
+    for f <= i the first occurrence of x_i x_{i+1}: the copy is at fB + s - iB.
+    """
+    B = fp.sub.length**k
+    windows = []
+    for f in sorted(_two_words(fp).values()):
+        if windows and f * B <= windows[-1][1]:
+            windows[-1] = (windows[-1][0], (f + 2) * B)
+        else:
+            windows.append((f * B, (f + 2) * B))
+    return tuple(windows)
+
+
+def _level(fp: FixedPointSpec, length: int) -> int:
+    """The least multiple k of fp.power with L**k >= length."""
+    return -(-ceil_log(fp.sub.length, length) // fp.power) * fp.power
+
+
+def _best_in_window(src, d: int, n: int, hint_lower: int | None) -> APResult:
+    """max_ap_in_prefix(src.get(n), d), read from the level windows of [0, n) where they are
+    fewer letters.
+
+    If the best progression in the level-k windows has M terms and M·d <= L**k,
+    every progression of M + 1 terms in [0, n) would have a copy in them
+    (_level_windows), so M is the best length in [0, n), and the least start
+    the kernel reports is the leftmost one, since every start it reports is a
+    start in [0, n). Otherwise the level goes up to the least one with
+    L**k >= M·d. A source other than a PrefixSource is read through get alone.
+    """
+    fp = src.fp
+    if isinstance(src, PrefixSource) and fp.sub.length > 1 and d < n:
+        k = _level(fp, hint_lower * d) if hint_lower else max(_level(fp, d), _start_level(fp))
+        while (word := src.windows(k, n)) is not None:
+            best = max_ap_in_prefix(word, d)
+            if best.best_len * d <= fp.sub.length**k:
+                return replace(best, prefix_len=n)
+            k = _level(fp, best.best_len * d)
+    return max_ap_in_prefix(src.get(n), d)
+
+
+@lru_cache(maxsize=None)
+def _start_level(fp: FixedPointSpec) -> int:
+    """The largest multiple k of fp.power, at least fp.power, whose level-k windows
+    total at most _LEVEL_LETTERS letters.
+    """
+    k, L, p = fp.power, fp.sub.length, fp.power
+    while sum(b - a for a, b in _level_windows(fp, 0)) * L ** (k + p) <= _LEVEL_LETTERS:
+        k += p
+    return k
+
+
 def _certified_window(fp: FixedPointSpec, coding: Coding | None, d: int,
                       best_len: int) -> int | None:
     """Prefix length that proves a best length found inside it to be A(d), or None.
@@ -387,7 +515,8 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
     first half, and then the leftmost one does too, since it ends first. So
     the scan stops once the leftmost witness ends before the previous window
     does, unless the certified window for the best length is larger and fits
-    under the cap; then it keeps doubling.
+    under the cap; then it keeps doubling. A window's best progression is
+    read from its level windows where they are fewer letters (_best_in_window).
 
     Status is ExactUnderBound only when the final window covers the certified
     window for its best length; plateaus alone never certify anything. A
@@ -408,7 +537,7 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
     window = min(window, cap)
     while True:
         head, window = window, min(2 * window, cap)
-        best = max_ap_in_prefix(src.get(window), d)
+        best = _best_in_window(src, d, window, hint_lower)
         target = _certified_window(fp, coding, d, best.best_len)
         short = target is not None and window < target <= cap
         if window == cap or not short and best.best_start + (best.best_len - 1) * d < head:

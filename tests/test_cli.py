@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from apword import get_builtin, prefix
+import apword.progressions
+from apword import get_builtin, max_ap_in_prefix, prefix
+from apword.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -151,6 +155,24 @@ def test_apscan_rs_csv(tmp_path: Path):
     assert lines[1] == "d,best_len,best_start,prefix_len,status"
     rows = {int(r.split(",")[0]): int(r.split(",")[1]) for r in lines[2:]}
     assert rows[3] > rows[2] and rows[5] > rows[4]
+
+
+@pytest.mark.parametrize("args", [
+    ("--builtin", "rs", "--coding", "spin", "--range", "65:264"),
+    ("--builtin", "tm:2", "--range", "1:50", "--prefix-cap", "16777216"),
+])
+def test_apscan_rows_match_the_plain_kernel(monkeypatch, args):
+    # the rows a_of_d builds from level windows equal those of the plain kernel
+    # on the whole window src.get(n), on the benchmark's scan-spin and certify-tm2
+    cp = run_cli("apscan", *args)
+    assert cp.returncode == 0, cp.stderr
+    monkeypatch.setattr(apword.progressions, "_best_in_window",
+                        lambda src, d, n, hint: max_ap_in_prefix(src.get(n), d))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["apscan", *args]) == 0
+    assert cp.stdout.splitlines()[1:] == buf.getvalue().splitlines()[1:]
+    assert len(cp.stdout.splitlines()) == 2 + (200 if "rs" in args else 50)
 
 
 def test_apscan_deterministic(tmp_path: Path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -34,9 +35,13 @@ from apword.progressions import (
     _PACK_CHUNK,
     EXACT,
     LOWER,
+    PackedWindows,
     PackedWord,
+    _best_in_window,
     _certification_basis,
     _certified_window,
+    _level_windows,
+    _start_level,
     _two_word_cover,
     _two_words,
     palindromic_member,
@@ -600,11 +605,216 @@ def test_a_of_d_rejects_a_source_of_another_word():
     assert (own.best_len, own.status) == (8, EXACT)
 
 
+def assert_generated_once(spans, parent_letters):
+    """No factor span is generated twice, and no more letters than the parent's prefix."""
+    assert len(set(spans)) == len(spans), "a factor was generated twice"
+    assert sum(stop - start for start, stop in spans) <= parent_letters
+
+
 def test_scan_generates_its_prefix_once(monkeypatch):
+    # at SMALL the level windows would hold over half of each window: the prefix is read
     spans = _factor_spans(monkeypatch)
     b = get_builtin("rs")
     scan(b.fixed_point(), b.coding("spin"), 1, 100, SMALL)
+    assert_generated_once(spans, 2 * SMALL.initial_prefix)
     assert_tiles(spans, 2 * SMALL.initial_prefix, 1)  # each letter once, no pre-warm regenerated
+
+
+def test_scan_generates_its_level_windows_once(monkeypatch):
+    # at the default policy every row is read from the level-13 windows, 90,112 letters
+    spans = _factor_spans(monkeypatch)
+    b = get_builtin("rs")
+    scan(b.fixed_point(), b.coding("spin"), 1, 100)
+    assert_generated_once(spans, 2 * ScanPolicy().initial_prefix)
+    assert sum(stop - start for start, stop in spans) == 11 * 2**13
+
+
+def plant_ap(word: np.ndarray, d: int, start: int, length: int, letter: int) -> np.ndarray:
+    word = word.copy()
+    word[start:start + (length - 1) * d + 1:d] = letter
+    return word
+
+
+@st.composite
+def words_in_factors(draw):
+    """(word, factors, d): a random word, disjoint factors [start, stop) of it in order, and d."""
+    n = draw(st.integers(2, 400))
+    word = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), np.uint8)
+    if draw(st.booleans()):  # a long progression somewhere, maybe across factors
+        d0 = draw(st.integers(1, 8))
+        start = draw(st.integers(0, n - 1))
+        word = plant_ap(word, d0, start, draw(st.integers(2, max(2, (n - 1 - start) // d0 + 1))), 3)
+    cuts = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=12)))
+    factors = [(a, b) for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    factors = factors or [(cuts[0], cuts[1])]
+    return word, factors, draw(st.integers(1, 70))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=words_in_factors())
+def test_kernel_on_windows_matches_each_factor(case):
+    word, factors, d = case
+    packed = PackedWindows.pack_factors(factors, 2, lambda a, b: word[a:b])
+    got = max_ap_in_prefix(packed, d)
+    found = [(*max_ap_oracle(word[a:b], d), a) for a, b in factors]
+    best = max(length for length, _, _ in found)
+    assert (got.best_len, got.prefix_len) == (best, packed.n)
+    leftmost = min(a + s for length, s, a in found if length == best)
+    assert got.best_start == (0 if best == 1 else leftmost)
+
+
+def test_kernel_on_windows_clears_across_factors():
+    # a 64-letter run of 1s, cut into two factors of 32: no progression crosses the cut
+    word = np.ones(64, np.uint8)
+    packed = PackedWindows.pack_factors([(0, 32), (32, 64)], 1, lambda a, b: word[a:b])
+    assert [s[:2] for s in packed.spans] == [(0, 32), (64, 96)]
+    for d, want in [(1, (32, 0)), (31, (2, 0)), (32, (1, 0))]:
+        got = max_ap_in_prefix(packed, d)
+        assert (got.best_len, got.best_start) == want, d
+    # starts are positions in the longer word: 2s at 137, 142, ..., 182 in the second factor
+    word = plant_ap(np.arange(200, dtype=np.uint8) % 2, 5, 137, 10, 2)
+    packed = PackedWindows.pack_factors([(7, 50), (130, 190)], 2, lambda a, b: word[a:b])
+    got = max_ap_in_prefix(packed, 5)
+    assert (got.best_len, got.best_start, got.prefix_len) == (10, 137, 64 + 60)
+
+
+@st.composite
+def late_letter_fixed_points(draw):
+    """Fixed points where letter a + 1 first occurs at L**(a+1) - 1: a -> 0^(L-1) (a+1) for
+    a < c - 1, the last letter's image random. A 2-word can then first occur near
+    the end of a window that its few earlier 2-words leave mostly uncovered.
+    """
+    c, L = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rules = [(0,) * (L - 1) + (a + 1,) for a in range(c - 1)]
+    rules.append(tuple(draw(st.lists(st.integers(0, c - 1), min_size=L, max_size=L))))
+    return FixedPointSpec(Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), tuple(rules)), 0)
+
+
+@st.composite
+def level_cases(draw):
+    """(fp, coding, k, n, ds): a random fixed point and coding,
+    injective or not, a level k that is a multiple of fp.power with L**k <= 256,
+    a window n cut at or next to the window of a 2-word, or anywhere, and
+    differences 1, 2 and one more, up to n.
+    """
+    fp = draw(st.one_of(small_fixed_points(), late_letter_fixed_points()))
+    c, L = fp.sub.size, fp.sub.length
+    m = draw(st.integers(1, c))
+    table = tuple(draw(st.lists(st.integers(0, m - 1), min_size=c, max_size=c)))
+    coding = draw(st.sampled_from([None, Coding(table, tuple(f"y{a}" for a in range(m)))]))
+    k = fp.power * draw(st.integers(0, max(j for j in range(9) if L ** (j * fp.power) <= 256)))
+    B = L**k
+    near = [f + j for f in _two_words(fp).values() if f <= 300 for j in (-1, 0, 1, 2, 3)]
+    q = draw(st.one_of(st.integers(0, 60), st.sampled_from(near)))
+    n = q * B + draw(st.sampled_from([0, B - 1, draw(st.integers(0, max(0, B - 1)))]))
+    assume(n >= 2)
+    d = draw(st.one_of(st.integers(1, B + 1), st.integers(n // 2, n), st.integers(1, n)))
+    return fp, coding, k, n, sorted({1, 2, d})
+
+
+def _is_progression(word: np.ndarray, d: int, start: int, length: int) -> bool:
+    terms = word[start:start + (length - 1) * d + 1:d]
+    return len(terms) == length and (terms == terms[0]).all()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=level_cases())
+def test_level_windows_match_the_plain_kernel_property(case):
+    fp, coding, k, n, ds = case
+    src = PrefixSource(fp, coding)
+    letters = prefix(fp, n, coding)
+    for d in ds:
+        want = max_ap_in_prefix(letters, d)
+        for hint in (None, 1, want.best_len):  # the start level, or one above it
+            assert _best_in_window(src, d, n, hint) == want, (d, hint)
+        word = src.windows(k, n)
+        if word is None:
+            continue
+        got = max_ap_in_prefix(word, d)
+        assert got.best_len <= want.best_len, d
+        assert _is_progression(letters, d, got.best_start, got.best_len), d
+        if got.best_len * d <= fp.sub.length**k:
+            assert (got.best_len, got.best_start) == (want.best_len, want.best_start), d
+
+
+def test_level_windows_leftmost_start_past_the_first_block_of_its_window():
+    # x = (aaab aaab aaab aaac)^3 aaab aaab aaab cccc ...: the only run of 4 in
+    # x[0, 64) is block 15 = cccc, the first c of x_0 x_1 ... being x_15. So the
+    # leftmost start is in the second half of the window of "ac" at block 14
+    fp = FixedPointSpec.find(parse_substitution("a -> aaab ; b -> aaac ; c -> cccc"), "a")
+    src = PrefixSource(fp)
+    # aa, ab, ba first occur at 0, 2, 3, and ac, ca at 14, 15
+    assert _level_windows(fp, 1)[:2] == ((0, 20), (56, 68))
+    word = src.windows(1, 64)
+    assert word is not None and word.spans == ((0, 20, 0), (64, 72, 56))
+    got = max_ap_in_prefix(word, 1)
+    assert (got.best_len, got.best_start) == (4, 60)
+    assert _best_in_window(src, 1, 64, None) == max_ap_in_prefix(src.get(64), 1)
+
+
+@pytest.mark.parametrize("name, coding, n", [
+    ("tm:2", None, 2**20), ("rs", "spin", 2**20), ("tm:3", None, 3**13 + 5)])
+def test_level_windows_edges(name, coding, n):
+    b = get_builtin(name)
+    fp, code = b.fixed_point(), b.coding(coding) if coding else None
+    src = PrefixSource(fp, code)
+    k = _start_level(fp)
+    B = fp.sub.length**k
+    assert src.windows(k, n) is not None
+    # fewer than two blocks: the windows are all of x[0, n), so none are used
+    for short in (B, B + 1, 2 * B - 1, 2 * B):
+        assert src.windows(k, short) is None
+    # 2d >= n, and d >= n: the plain kernel's answer
+    for d in (1, 5, n // 2, n // 2 + 1, n - 1, n, n + 5):
+        assert _best_in_window(src, d, n, None) == max_ap_in_prefix(src.get(n), d), d
+
+
+def test_level_windows_with_no_two_term_progression():
+    # x = abab...: no equal letters at odd d, so M = 1 and the start is 0
+    fp = FixedPointSpec.find(parse_substitution("a -> ab ; b -> ab"), "a")
+    src = PrefixSource(fp)
+    for d in (1, 3, 63, 65):
+        word = src.windows(_start_level(fp), 2**20)
+        assert word is not None
+        got = max_ap_in_prefix(word, d)
+        assert (got.best_len, got.best_start) == (1, 0)
+        assert _best_in_window(src, d, 2**20, None) == max_ap_in_prefix(src.get(2**20), d)
+
+
+def test_level_windows_keep_the_start_level_and_one_other(monkeypatch):
+    # packing reads chunks of at most _PACK_CHUNK letters and holds the planes
+    # of two levels at most: the start level and the last other one
+    monkeypatch.setattr(apword.progressions, "_PACK_CHUNK", 2**16)
+    lengths = []
+    real_factor = apword.progressions.factor
+
+    def spy(fp, start, stop, coding=None):
+        lengths.append(stop - start)
+        return real_factor(fp, start, stop, coding)
+
+    monkeypatch.setattr(apword.progressions, "factor", spy)
+    b = get_builtin("rs")
+    fp = b.fixed_point()
+    src = PrefixSource(fp)  # four letters: two planes
+    start, n = _start_level(fp), 2**24
+    src.windows(start, n)
+    tracemalloc.start()
+    try:
+        first = src.windows(start + 5, n)
+        held = tracemalloc.get_traced_memory()[0]
+        ref, old = weakref.ref(first.planes), first.planes.nbytes
+        del first
+        tracemalloc.reset_peak()
+        second = src.windows(start + 6, n)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ref() is None, "the last other level is still held"
+    assert max(lengths) <= 2**16
+    assert set(src._levels) == {start, start + 6}
+    new = second.planes.nbytes
+    assert held >= old and now - held <= new - old + 2**12
+    assert peak - held <= new - old + 4 * 2**16, (peak - held - new + old) / 2**16
 
 
 def test_tm_cube_free():
