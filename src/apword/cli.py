@@ -270,8 +270,10 @@ def _add_source_flags(p: argparse.ArgumentParser):
 
 def _add_scan_flags(p: argparse.ArgumentParser):
     p.add_argument("--coding", help="coding name (spin, digit, none) or JSON file")
-    p.add_argument("--initial-prefix", type=int, default=2**20)
-    p.add_argument("--prefix-cap", type=int, default=2**26)
+    p.add_argument("--initial-prefix", type=int, default=2**20,
+                   help="checked but no longer read: A(d) is read from the 2-word windows")
+    p.add_argument("--prefix-cap", type=int, default=2**26,
+                   help="budget on window letters; a row over it reads this many prefix letters")
     p.add_argument("--r-override", type=int, default=None,
                    help="checked but no longer read: exactness comes from the 2-word cover")
 

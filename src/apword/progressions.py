@@ -1,7 +1,7 @@
 """Maximum monochromatic arithmetic progressions at fixed difference.
 
-Scans prefixes of (coded) substitution fixed points, certifies exactness
-through the 2-word cover, and generates the predicted difference families
+Decides A(d) on (coded) substitution fixed points from the windows of their
+2-words, and generates the predicted difference families
 together with their verification harness.
 """
 
@@ -39,7 +39,6 @@ LOWER = "LowerBoundOnly"
 _PACK_CHUNK = 2**20  # letters packed per step; a multiple of 8 keeps it byte-aligned
 _BLOCK = 2**15  # mask words per block of a dense step: 256 KiB, so a block's operands stay in L2
 _SPARSE_SHARE = 16  # the gallop lists the non-zero mask words once under 1/16 of them are left
-_LEVEL_LETTERS = 2**17  # a_of_d with no hint starts at the level whose windows total about this
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,8 @@ class ScanPolicy:
     r_override: int | None = None
 
     def __post_init__(self):
-        # r_override is still validated but no longer read: the 2-word cover needs no R
+        # initial_prefix and r_override are still validated but no longer read:
+        # a_of_d reads level windows, and the 2-word cover needs no R
         if self.initial_prefix < 1 or self.prefix_cap < 1:
             raise SubstitutionError("initial prefix and prefix cap must be >= 1")
         if self.r_override is not None and self.r_override < 1:
@@ -309,16 +309,16 @@ def max_ap_in_prefix(word, d: int) -> APResult:
 
 
 class PrefixSource:
-    """Grow-once cache of a (coded) fixed-point prefix, packed into bit planes.
+    """Grow-once cache of a (coded) fixed-point prefix, and of its level windows, packed
+    into bit planes.
 
     There are ceil(log2) of the alphabet size planes, and no letters are kept.
     A growth copies the whole words already packed and packs only the letters
     after them, chunk by chunk from factor. get(n) returns a PackedWord view
     of the first n letters that shares the cached planes, so every d scanned
-    on the same prefix reuses one packing. windows(k, n) returns the level-k
-    windows of the first n letters as a view of packed windows that it keeps
-    for at most two levels: the start level _start_level(fp) and the last
-    other level asked for.
+    on the same prefix reuses one packing. level(k) returns the level-k
+    windows (_level_windows), packed once. A growth of the prefix lets the
+    packed levels go first, so they never add to the peak of packing it.
     """
 
     def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
@@ -331,6 +331,7 @@ class PrefixSource:
     def get(self, n: int) -> PackedWord:
         check_prefix(self.fp, n)
         if self._word.n < n:
+            self._levels.clear()
             whole = self._word.n // 64
             planes = np.zeros((len(self._word.planes), (n + 63) // 64 + 1), "<u8")
             planes[:, :whole] = self._word.planes[:, :whole]
@@ -339,26 +340,13 @@ class PrefixSource:
             self._word = PackedWord(planes, n)
         return PackedWord(self._word.planes, n)
 
-    def windows(self, k: int, n: int) -> PackedWindows | None:
-        """The level-k windows of x[0, n) (_level_windows), or None if they hold over n/2 letters.
-
-        A level is packed for the windows of the longest n asked for and
-        viewed for shorter ones. n is checked as get(n) checks it.
-        """
-        check_prefix(self.fp, n)
-        factors = [(a, min(b, n)) for a, b in _level_windows(self.fp, k) if a < n]
-        if 2 * sum(b - a for a, b in factors) > n:
-            return None
-        held = self._levels.get(k)
-        end = 0 if held is None else held.spans[-1][2] + held.n - held.spans[-1][0]  # in x
-        if end < factors[-1][1]:
-            start = _start_level(self.fp)  # let the other level go before packing this one
-            self._levels = {j: w for j, w in self._levels.items() if j == start != k}
-            held = self._levels[k] = PackedWindows.pack_factors(
-                factors, len(self._word.planes), lambda a, b: factor(self.fp, a, b, self.coding))
-        spans = tuple((a, a + min(b - a, n - origin), origin)
-                      for a, b, origin in held.spans if origin < n)
-        return PackedWindows(held.planes, spans[-1][1], spans)
+    def level(self, k: int) -> PackedWindows:
+        """The windows _level_windows(fp, k), packed."""
+        if k not in self._levels:
+            self._levels[k] = PackedWindows.pack_factors(
+                _level_windows(self.fp, k), len(self._word.planes),
+                lambda a, b: factor(self.fp, a, b, self.coding))
+        return self._levels[k]
 
 
 @lru_cache(maxsize=None)
@@ -432,13 +420,13 @@ def _two_word_cover(fp: FixedPointSpec) -> int:
 @lru_cache(maxsize=None)
 def _level_windows(fp: FixedPointSpec, k: int) -> tuple[tuple[int, int], ...]:
     """The windows [fB, (f+2)B) at the first occurrences f of the 2-words, B = L**k, merged
-    where they overlap or touch. Their parts in [0, n) hold a copy of every
-    progression of at most B + 1 letters in x[0, n), no later than it starts.
+    where they overlap or touch. They hold a copy of every progression of at
+    most B + 1 letters in x, starting no later than it.
 
     k is a multiple of fp.power, so x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A
-    progression starting at s in block i = s // B lies in x[iB, min((i+2)B, n)),
-    a prefix of σ^k(x_i x_{i+1}), and so does x[fB, min((f+2)B, n)) as long,
-    for f <= i the first occurrence of x_i x_{i+1}: the copy is at fB + s - iB.
+    progression starting at s in block i = s // B lies in x[iB, (i+2)B), and so
+    does its copy at fB + s - iB in x[fB, (f+2)B), for f <= i the first
+    occurrence of x_i x_{i+1}.
     """
     B = fp.sub.length**k
     windows = []
@@ -455,96 +443,56 @@ def _level(fp: FixedPointSpec, length: int) -> int:
     return -(-ceil_log(fp.sub.length, length) // fp.power) * fp.power
 
 
-def _best_in_window(src, d: int, n: int, hint_lower: int | None) -> APResult:
-    """max_ap_in_prefix(src.get(n), d), read from the level windows of [0, n) where they are
-    fewer letters.
-
-    If the best progression in the level-k windows has M terms and M·d <= L**k,
-    every progression of M + 1 terms in [0, n) would have a copy in them
-    (_level_windows), so M is the best length in [0, n), and the least start
-    the kernel reports is the leftmost one, since every start it reports is a
-    start in [0, n). Otherwise the level goes up to the least one with
-    L**k >= M·d. A source other than a PrefixSource is read through get alone.
-    """
-    fp = src.fp
-    if isinstance(src, PrefixSource) and fp.sub.length > 1 and d < n:
-        k = _level(fp, hint_lower * d) if hint_lower else max(_level(fp, d), _start_level(fp))
-        while (word := src.windows(k, n)) is not None:
-            best = max_ap_in_prefix(word, d)
-            if best.best_len * d <= fp.sub.length**k:
-                return replace(best, prefix_len=n)
-            k = _level(fp, best.best_len * d)
-    return max_ap_in_prefix(src.get(n), d)
+def _certified_window(fp: FixedPointSpec, d: int, best_len: int) -> int:
+    """(i2 + 2)·L**k0, the end of the windows of the least level k0 with L**k0 >= best_len·d:
+    the prefix that holds the leftmost witness of A(d) = best_len and its proof."""
+    return _two_word_cover(fp) * fp.sub.length ** _level(fp, best_len * d)
 
 
-@lru_cache(maxsize=None)
-def _start_level(fp: FixedPointSpec) -> int:
-    """The largest multiple k of fp.power, at least fp.power, whose level-k windows
-    total at most _LEVEL_LETTERS letters.
-    """
-    k, L, p = fp.power, fp.sub.length, fp.power
-    while sum(b - a for a, b in _level_windows(fp, 0)) * L ** (k + p) <= _LEVEL_LETTERS:
-        k += p
-    return k
-
-
-def _certified_window(fp: FixedPointSpec, coding: Coding | None, d: int,
-                      best_len: int) -> int | None:
-    """Prefix length that proves a best length found inside it to be A(d), or None.
-
-    x is the concatenation of the blocks σ^k(x_i), B = L^k >= best_len * d long, so
-    best_len + 1 terms, B + 1 letters at most, would lie in some σ^k(x_i x_{i+1}), which
-    has a copy in [0, (i2 + 2)B). None outside the domain: power 1, injective coding, U(d).
-    """
-    if fp.power != 1 or (coding is not None and not coding.is_injective) \
-            or upper_bound(fp.sub, d) is None:
-        return None
-    L = fp.sub.length
-    return _two_word_cover(fp) * L ** ceil_log(L, best_len * d)
+def _exact_domain(fp: FixedPointSpec, coding: Coding | None) -> bool:
+    """Where a row the windows decide is reported ExactUnderBound: power 1, no coding
+    or an injective one, and a substitution with a bound U(d) (upper_bound)."""
+    return fp.power == 1 and (coding is None or coding.is_injective) \
+        and _certification_basis(fp.sub)[0]
 
 
 def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
            policy: ScanPolicy = ScanPolicy(), *, hint_lower: int | None = None,
            source: PrefixSource | None = None) -> APResult:
-    """Scan a growing prefix until the best length is stable across a doubling.
+    """A(d), read from the level windows of x, leftmost start on ties.
 
-    The window doubles from its start until it reaches the cap or the best
-    length in the window equals the best length in its first half, the
-    previous window. Only the larger window is scanned: the two lengths are
-    equal exactly when a longest progression of the larger window lies in the
-    first half, and then the leftmost one does too, since it ends first. So
-    the scan stops once the leftmost witness ends before the previous window
-    does, unless the certified window for the best length is larger and fits
-    under the cap; then it keeps doubling. A window's best progression is
-    read from its level windows where they are fewer letters (_best_in_window).
+    From the level of hint_lower·d, or of d, the kernel runs on the packed
+    windows of level k, B = L**k, and finds M terms. If M·d <= B, every
+    progression of M + 1 terms in x would have a copy in them
+    (_level_windows), so A(d) = M, and the least start the kernel reports is
+    the leftmost one in x, since every copy starts no later than the
+    progression it copies. Otherwise k goes up to the level of M·d.
+    prefix_len is _certified_window, whatever level the search started at.
 
-    Status is ExactUnderBound only when the final window covers the certified
-    window for its best length; plateaus alone never certify anything. A
-    source must have been built for the same fixed point and coding, since
-    the cover is taken from fp and the letters from source.
+    policy.prefix_cap is a budget on window letters: a level over it ends the
+    search with the plain kernel on the first prefix_cap letters, a lower
+    bound. A decided row is ExactUnderBound inside _exact_domain and
+    LowerBoundOnly outside it. A source must have been built for the same
+    fixed point and coding, since the windows are taken from fp and the
+    letters from source.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
     cap = policy.prefix_cap
     if 2 * d + 1 > cap:
         raise ResourceCapError(f"difference {d} does not fit two terms inside the cap {cap}")
+    check_prefix(fp, cap)  # the fallback reads prefix_cap letters
     if source is not None and (source.fp != fp or source.coding != coding):
         raise SubstitutionError("prefix source was built for another fixed point or coding")
     src = source if source is not None else PrefixSource(fp, coding)
-    window = policy.initial_prefix
-    if hint_lower:
-        window = max(window, 64 * d * hint_lower)
-    window = min(window, cap)
-    while True:
-        head, window = window, min(2 * window, cap)
-        best = _best_in_window(src, d, window, hint_lower)
-        target = _certified_window(fp, coding, d, best.best_len)
-        short = target is not None and window < target <= cap
-        if window == cap or not short and best.best_start + (best.best_len - 1) * d < head:
-            break
-    if target is not None and window >= target:
-        best = replace(best, status=EXACT)
-    return best
+    k = _level(fp, (hint_lower or 1) * d)
+    while sum(b - a for a, b in _level_windows(fp, k)) <= cap:
+        best = max_ap_in_prefix(src.level(k), d)
+        if best.best_len * d <= fp.sub.length**k:
+            return replace(best, prefix_len=_certified_window(fp, d, best.best_len),
+                           status=EXACT if _exact_domain(fp, coding) else LOWER)
+        k = _level(fp, best.best_len * d)
+    return max_ap_in_prefix(src.get(cap), d)
 
 
 @dataclass(frozen=True)
@@ -714,9 +662,11 @@ def scan(fp: FixedPointSpec, coding: Coding | None, d_from: int, d_to: int,
         raise SubstitutionError("need 1 <= d_from <= d_to")
     src = PrefixSource(fp, coding)
     rows = []
+    hint = None  # start at the level of A(d - 1)·d, unless that row was over the budget
     for d in range(d_from, d_to + 1):
         try:
-            rows.append(a_of_d(fp, coding, d, policy, source=src))
+            rows.append(a_of_d(fp, coding, d, policy, hint_lower=hint, source=src))
+            hint = rows[-1].best_len if rows[-1].prefix_len != policy.prefix_cap else None
         except ResourceCapError as exc:
             rows.append(APResult(d, 0, 0, 0, f"Error:{exc}"))
     return rows

@@ -1,6 +1,5 @@
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,16 +36,15 @@ from apword.progressions import (
     LOWER,
     PackedWindows,
     PackedWord,
-    _best_in_window,
     _certification_basis,
     _certified_window,
+    _level,
     _level_windows,
-    _start_level,
     _two_word_cover,
     _two_words,
     palindromic_member,
 )
-from apword.stream import PREFIX_CAP, _cycle_length
+from apword.stream import PREFIX_CAP, _cycle_length, letter_index_at
 from apword.substitution import _legal_index_words
 from ap_oracle import max_ap_oracle
 
@@ -113,31 +111,6 @@ def max_ap_dense(word, d: int) -> tuple[int, int]:
     i = int((mask != 0).argmax())
     low = int(mask[i])
     return k + 1, 64 * i + (low & -low).bit_length() - 1
-
-
-def a_of_d_by_rescan(fp, coding, d, policy=ScanPolicy(), *, hint_lower=None, source=None):
-    """Reference window schedule: scans both windows of every doubling and
-    stops when their best lengths agree and the certified window for that
-    length is covered, over the cap or absent.
-    """
-    src = source if source is not None else PrefixSource(fp, coding)
-    window = policy.initial_prefix
-    if hint_lower:
-        window = max(window, 64 * d * hint_lower)
-    window = min(window, policy.prefix_cap)
-    best = max_ap_in_prefix(src.get(window), d)
-    while window < policy.prefix_cap:
-        window = min(2 * window, policy.prefix_cap)
-        nxt = max_ap_in_prefix(src.get(window), d)
-        stable = nxt.best_len == best.best_len
-        best = nxt
-        target = _certified_window(fp, coding, d, best.best_len)
-        if stable and (target is None or not window < target <= policy.prefix_cap):
-            break
-    target = _certified_window(fp, coding, d, best.best_len)
-    if target is not None and best.prefix_len >= target:
-        best = replace(best, status=EXACT)
-    return best
 
 
 def _kernel(word, d):
@@ -314,7 +287,8 @@ def test_kernel_sparse_from_the_first_mask_at_the_last_words(monkeypatch, d):
         for length in (30, 100):
             for before_end in (0, 1, 2, 70):
                 start = n - 1 - before_end - (length - 1) * d
-                w = PlantedSource(n, d, start, length).word
+                # letters 0/1 that never repeat at distance d, and the run of 2s
+                w = plant_ap((np.arange(n) // d % 2).astype(np.uint8), d, start, length, 2)
                 counts.clear()
                 assert _kernel(w, d) == max_ap_dense(w, d) == (length, start), \
                     (tail, length, before_end)
@@ -532,61 +506,31 @@ def test_max_ap_rejects_letters_that_are_not_non_negative_integers(word, d):
         max_ap_in_prefix(word, d)
 
 
-RESCAN_POLICIES = [
-    (ScanPolicy(initial_prefix=2**12, prefix_cap=2**16), None),
-    (ScanPolicy(initial_prefix=2**14, prefix_cap=2**14), None),  # initial == cap
-    (ScanPolicy(initial_prefix=3000, prefix_cap=5000), None),  # 2 * initial > cap
-    (ScanPolicy(initial_prefix=64, prefix_cap=2**15), None),  # d >= initial from d = 64 on
-    (ScanPolicy(initial_prefix=2**10, prefix_cap=2**16), 3),  # hint_lower
-    (ScanPolicy(initial_prefix=2**12, prefix_cap=2**18, r_override=9), None),  # not read
-]
+def in_exact_domain(fp, coding) -> bool:
+    """Where a decided row is ExactUnderBound: power 1, an injective coding or none, U(d)."""
+    return fp.power == 1 and (coding is None or coding.is_injective) \
+        and upper_bound(fp.sub, 1) is not None
 
 
 @pytest.mark.parametrize("name", BUILTINS)
-def test_a_of_d_matches_rescan_schedule(name):
+def test_a_of_d_matches_the_plain_kernel_on_its_prefix(name):
+    # the rows do not go through the level windows here: the plain kernel on
+    # the prefix up to prefix_len, which holds the leftmost witness, gives them
     b = get_builtin(name)
     fp = b.fixed_point()
     for coding in [None, *b.codings().values()]:
         src = PrefixSource(fp, coding)
-        for policy, hint in RESCAN_POLICIES:
-            for d in (1, 2, 3, 5, 17, 64, 65, 100, 1000, 2499):
-                got = a_of_d(fp, coding, d, policy, hint_lower=hint, source=src)
-                want = a_of_d_by_rescan(fp, coding, d, policy, hint_lower=hint, source=src)
-                assert got == want, (coding, policy, hint, d)
-
-
-class PlantedSource:
-    """Prefix source stub: letters 0/1 that never repeat at distance d, plus one
-    progression of the letter 2 with difference d. Records every request.
-    It claims to be the prefix of fp under coding, so a_of_d accepts it.
-    """
-
-    def __init__(self, n, d, start, length, fp=None, coding=None):
-        self.fp, self.coding = fp, coding
-        self.word = (np.arange(n) // d % 2).astype(np.uint8)
-        self.word[start:start + (length - 1) * d + 1:d] = 2
-        self.requested = []
-
-    def get(self, n):
-        self.requested.append(n)
-        return self.word[:n]
-
-
-@pytest.mark.parametrize("end, windows", [(1024, [2048, 4096]), (1023, [2048])])
-def test_a_of_d_stops_once_the_witness_ends_before_the_previous_window(end, windows):
-    # the witness ending at the previous window's end (1024) is not inside it
-    d, length = 7, 20
-    start = end - (length - 1) * d
-    b = get_builtin("rs")
-    fp, coding = b.fixed_point(), b.coding("spin")  # not injective: no certification
-    policy = ScanPolicy(initial_prefix=1024, prefix_cap=2**13)
-    src = PlantedSource(policy.prefix_cap, d, start, length, fp, coding)
-    res = a_of_d(fp, coding, d, policy, source=src)
-    assert (res.best_len, res.best_start, res.prefix_len) == (length, start, windows[-1])
-    assert src.requested == windows  # one window, so one kernel call, per doubling
-    rescan = PlantedSource(policy.prefix_cap, d, start, length, fp, coding)
-    assert a_of_d_by_rescan(fp, coding, d, policy, source=rescan) == res
-    assert rescan.requested == [1024] + windows
+        rows = [a_of_d(fp, coding, d, hint_lower=hint, source=src)
+                for hint in (None, 3) for d in (1, 2, 3, 5, 17, 64, 65, 100, 1000, 2499)]
+        checked = [row for row in rows if row.prefix_len <= 2**24]
+        if not checked:
+            continue
+        word = prefix(fp, max(row.prefix_len for row in checked), coding)
+        for row in checked:
+            want = max_ap_in_prefix(word[:row.prefix_len], row.d)
+            assert (row.best_len, row.best_start) == (want.best_len, want.best_start), row
+            assert row.status == (EXACT if in_exact_domain(fp, coding) else LOWER), row
+        assert rows[:10] == rows[10:]  # the start level changes nothing
 
 
 def test_a_of_d_rejects_a_source_of_another_word():
@@ -605,28 +549,39 @@ def test_a_of_d_rejects_a_source_of_another_word():
     assert (own.best_len, own.status) == (8, EXACT)
 
 
-def assert_generated_once(spans, parent_letters):
-    """No factor span is generated twice, and no more letters than the parent's prefix."""
-    assert len(set(spans)) == len(spans), "a factor was generated twice"
-    assert sum(stop - start for start, stop in spans) <= parent_letters
-
-
 def test_scan_generates_its_prefix_once(monkeypatch):
-    # at SMALL the level windows would hold over half of each window: the prefix is read
+    # rs/digit has A(d) = infinity at even d: those rows outgrow the budget and read
+    # the first prefix_cap letters, generated once for the whole scan
     spans = _factor_spans(monkeypatch)
     b = get_builtin("rs")
-    scan(b.fixed_point(), b.coding("spin"), 1, 100, SMALL)
-    assert_generated_once(spans, 2 * SMALL.initial_prefix)
-    assert_tiles(spans, 2 * SMALL.initial_prefix, 1)  # each letter once, no pre-warm regenerated
+    policy = ScanPolicy(prefix_cap=2**16)
+    rows = scan(b.fixed_point(), b.coding("digit"), 1, 8, policy)
+    assert [row.best_len for row in rows] == [1, 2**15, 1, 2**14, 1, 10923, 1, 2**13]
+    assert spans.count((0, policy.prefix_cap)) == 1
 
 
 def test_scan_generates_its_level_windows_once(monkeypatch):
-    # at the default policy every row is read from the level-13 windows, 90,112 letters
+    # each factor in one piece, so a span generated twice is a level packed twice
+    monkeypatch.setattr(apword.progressions, "_PACK_CHUNK", 2**30)
     spans = _factor_spans(monkeypatch)
     b = get_builtin("rs")
-    scan(b.fixed_point(), b.coding("spin"), 1, 100)
-    assert_generated_once(spans, 2 * ScanPolicy().initial_prefix)
-    assert sum(stop - start for start, stop in spans) == 11 * 2**13
+    scan(b.fixed_point(), b.coding("spin"), 1000, 1100)
+    assert len(set(spans)) == len(spans), "a factor was generated twice"
+
+
+def test_scan_repeats_no_kernel_call(monkeypatch):
+    calls = []
+    real_kernel = apword.progressions.max_ap_in_prefix
+
+    def spy(word, d):
+        calls.append((word.spans, d))
+        return real_kernel(word, d)
+
+    monkeypatch.setattr(apword.progressions, "max_ap_in_prefix", spy)
+    rows = scan(get_builtin("tm:5").fixed_point(), None, 200, 300)
+    assert all(row.status == EXACT for row in rows)
+    assert all(spans for spans, _ in calls)  # every call reads level windows
+    assert len(set(calls)) == len(calls), "a kernel call on one level was repeated"
 
 
 def plant_ap(word: np.ndarray, d: int, start: int, length: int, letter: int) -> np.ndarray:
@@ -691,25 +646,26 @@ def late_letter_fixed_points(draw):
 
 
 @st.composite
-def level_cases(draw):
-    """(fp, coding, k, n, ds): a random fixed point and coding,
-    injective or not, a level k that is a multiple of fp.power with L**k <= 256,
-    a window n cut at or next to the window of a 2-word, or anywhere, and
-    differences 1, 2 and one more, up to n.
-    """
-    fp = draw(st.one_of(small_fixed_points(), late_letter_fixed_points()))
-    c, L = fp.sub.size, fp.sub.length
+def codings(draw, fp):
+    """None, or a random coding of fp's letters onto up to as many symbols, injective or not."""
+    c = fp.sub.size
     m = draw(st.integers(1, c))
     table = tuple(draw(st.lists(st.integers(0, m - 1), min_size=c, max_size=c)))
-    coding = draw(st.sampled_from([None, Coding(table, tuple(f"y{a}" for a in range(m)))]))
+    return draw(st.sampled_from([None, Coding(table, tuple(f"y{a}" for a in range(m)))]))
+
+
+@st.composite
+def level_cases(draw):
+    """(fp, coding, k, ds): a random fixed point and coding, a level k that is a
+    multiple of fp.power with L**k <= 256, and differences 1, 2 and one more,
+    up to the end of the windows.
+    """
+    fp = draw(st.one_of(small_fixed_points(), late_letter_fixed_points()))
+    L = fp.sub.length
     k = fp.power * draw(st.integers(0, max(j for j in range(9) if L ** (j * fp.power) <= 256)))
-    B = L**k
-    near = [f + j for f in _two_words(fp).values() if f <= 300 for j in (-1, 0, 1, 2, 3)]
-    q = draw(st.one_of(st.integers(0, 60), st.sampled_from(near)))
-    n = q * B + draw(st.sampled_from([0, B - 1, draw(st.integers(0, max(0, B - 1)))]))
-    assume(n >= 2)
-    d = draw(st.one_of(st.integers(1, B + 1), st.integers(n // 2, n), st.integers(1, n)))
-    return fp, coding, k, n, sorted({1, 2, d})
+    end = _level_windows(fp, k)[-1][1]
+    d = draw(st.one_of(st.integers(1, L**k + 1), st.integers(1, end)))
+    return fp, draw(codings(fp)), k, sorted({1, 2, d})
 
 
 def _is_progression(word: np.ndarray, d: int, start: int, length: int) -> bool:
@@ -720,16 +676,11 @@ def _is_progression(word: np.ndarray, d: int, start: int, length: int) -> bool:
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(case=level_cases())
 def test_level_windows_match_the_plain_kernel_property(case):
-    fp, coding, k, n, ds = case
-    src = PrefixSource(fp, coding)
-    letters = prefix(fp, n, coding)
+    fp, coding, k, ds = case
+    word = PrefixSource(fp, coding).level(k)
+    letters = prefix(fp, _level_windows(fp, k)[-1][1], coding)
     for d in ds:
         want = max_ap_in_prefix(letters, d)
-        for hint in (None, 1, want.best_len):  # the start level, or one above it
-            assert _best_in_window(src, d, n, hint) == want, (d, hint)
-        word = src.windows(k, n)
-        if word is None:
-            continue
         got = max_ap_in_prefix(word, d)
         assert got.best_len <= want.best_len, d
         assert _is_progression(letters, d, got.best_start, got.best_len), d
@@ -737,36 +688,72 @@ def test_level_windows_match_the_plain_kernel_property(case):
             assert (got.best_len, got.best_start) == (want.best_len, want.best_start), d
 
 
+@st.composite
+def block_cases(draw):
+    """(fp, coding, d): a fixed point of a random substitution, primitive or not, of
+    power up to twice its cycle length, or one inside the domain of upper_bound;
+    a random coding, injective or not; and a difference.
+    """
+    fp = draw(st.one_of(
+        small_fixed_points(), late_letter_fixed_points(),
+        cyclic_column_substitutions().map(lambda case: FixedPointSpec.find(case[0]))))
+    return fp, draw(codings(fp)), draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=block_cases())
+def test_a_of_d_matches_the_oracle_past_its_windows_property(case):
+    fp, coding, d = case
+    src = PrefixSource(fp, coding)
+    policy = ScanPolicy(prefix_cap=2**16)
+    row = a_of_d(fp, coding, d, policy, source=src)
+    if src._word.n:  # over the budget: the plain kernel on the first 2^16 letters
+        want = max_ap_in_prefix(prefix(fp, policy.prefix_cap, coding), d)
+        assert row == want
+        return
+    assert row.status == (EXACT if in_exact_domain(fp, coding) else LOWER), row
+    bound = upper_bound(fp.sub, d)
+    if bound is not None and (coding is None or coding.is_injective):
+        assert row.best_len <= bound, row
+    if row.prefix_len <= 2**12:  # the oracle past the last window, up to a level above it
+        word = prefix(fp, fp.sub.length * row.prefix_len, coding).tolist()
+        assert (row.best_len, row.best_start) == max_ap_oracle(word, d), row
+
+
 def test_level_windows_leftmost_start_past_the_first_block_of_its_window():
-    # x = (aaab aaab aaab aaac)^3 aaab aaab aaab cccc ...: the only run of 4 in
-    # x[0, 64) is block 15 = cccc, the first c of x_0 x_1 ... being x_15. So the
-    # leftmost start is in the second half of the window of "ac" at block 14
+    # x = (aaab aaab aaab aaac)^3 aaab aaab aaab cccc ...: the first run of 4 is
+    # block 15 = cccc, the second block of the window of "ac" at block 14, and
+    # it is reported at its place in x though packed from letter 64
     fp = FixedPointSpec.find(parse_substitution("a -> aaab ; b -> aaac ; c -> cccc"), "a")
-    src = PrefixSource(fp)
-    # aa, ab, ba first occur at 0, 2, 3, and ac, ca at 14, 15
-    assert _level_windows(fp, 1)[:2] == ((0, 20), (56, 68))
-    word = src.windows(1, 64)
-    assert word is not None and word.spans == ((0, 20, 0), (64, 72, 56))
-    got = max_ap_in_prefix(word, 1)
+    # aa, ab, ba first occur at 0, 2, 3, ac, ca at 14, 15, and bc, cc at 59, 60
+    assert _level_windows(fp, 1) == ((0, 20), (56, 68), (236, 248))
+    word = PrefixSource(fp).level(1)
+    assert word.spans == ((0, 20, 0), (64, 76, 56), (128, 140, 236))
+    got = max_ap_in_prefix(PackedWindows(word.planes, 76, word.spans[:2]), 1)
     assert (got.best_len, got.best_start) == (4, 60)
-    assert _best_in_window(src, 1, 64, None) == max_ap_in_prefix(src.get(64), 1)
+    got = max_ap_in_prefix(word, 1)  # aaac cccc cccc from 236: the run of 9 from 239
+    assert (got.best_len, got.best_start) == (9, 239) == max_ap_oracle(prefix(fp, 248).tolist(), 1)
 
 
 @pytest.mark.parametrize("name, coding, n", [
     ("tm:2", None, 2**20), ("rs", "spin", 2**20), ("tm:3", None, 3**13 + 5)])
 def test_level_windows_edges(name, coding, n):
+    # n is the budget: a level whose windows hold as many letters is read, one
+    # letter more is not, and then the plain kernel reads the first n letters
     b = get_builtin(name)
     fp, code = b.fixed_point(), b.coding(coding) if coding else None
     src = PrefixSource(fp, code)
-    k = _start_level(fp)
-    B = fp.sub.length**k
-    assert src.windows(k, n) is not None
-    # fewer than two blocks: the windows are all of x[0, n), so none are used
-    for short in (B, B + 1, 2 * B - 1, 2 * B):
-        assert src.windows(k, short) is None
-    # 2d >= n, and d >= n: the plain kernel's answer
-    for d in (1, 5, n // 2, n // 2 + 1, n - 1, n, n + 5):
-        assert _best_in_window(src, d, n, None) == max_ap_in_prefix(src.get(n), d), d
+    for d in (1, 5, 64, 65):
+        row = a_of_d(fp, code, d, ScanPolicy(prefix_cap=n), source=src)
+        letters = sum(b - a for a, b in _level_windows(fp, _level(fp, row.best_len * d)))
+        assert letters <= n and row.prefix_len == _certified_window(fp, d, row.best_len)
+        assert a_of_d(fp, code, d, ScanPolicy(prefix_cap=letters), source=src) == row
+        over = a_of_d(fp, code, d, ScanPolicy(prefix_cap=letters - 1), source=src)
+        assert over == max_ap_in_prefix(src.get(letters - 1), d), d
+    # 2d + 1 <= n: the windows of the level of d alone are over the budget
+    for d in (n // 2 - 1, (n - 1) // 2):
+        row = a_of_d(fp, code, d, ScanPolicy(prefix_cap=n), source=src)
+        assert row == max_ap_in_prefix(src.get(n), d), d
 
 
 def test_level_windows_with_no_two_term_progression():
@@ -774,47 +761,38 @@ def test_level_windows_with_no_two_term_progression():
     fp = FixedPointSpec.find(parse_substitution("a -> ab ; b -> ab"), "a")
     src = PrefixSource(fp)
     for d in (1, 3, 63, 65):
-        word = src.windows(_start_level(fp), 2**20)
-        assert word is not None
-        got = max_ap_in_prefix(word, d)
+        got = max_ap_in_prefix(src.level(_level(fp, d)), d)
         assert (got.best_len, got.best_start) == (1, 0)
-        assert _best_in_window(src, d, 2**20, None) == max_ap_in_prefix(src.get(2**20), d)
+        row = a_of_d(fp, None, d, source=src)
+        assert (row.best_len, row.best_start, row.status) == (1, 0, LOWER)
+        assert row.prefix_len == _two_word_cover(fp) * 2 ** _level(fp, d)
 
 
-def test_level_windows_keep_the_start_level_and_one_other(monkeypatch):
-    # packing reads chunks of at most _PACK_CHUNK letters and holds the planes
-    # of two levels at most: the start level and the last other one
+def test_prefix_source_lets_its_levels_go_before_growing(monkeypatch):
+    # a level is packed once, from chunks of at most _PACK_CHUNK letters, and a
+    # growth of the prefix lets the levels go before it generates a letter
     monkeypatch.setattr(apword.progressions, "_PACK_CHUNK", 2**16)
-    lengths = []
+    lengths, held = [], []
     real_factor = apword.progressions.factor
 
     def spy(fp, start, stop, coding=None):
         lengths.append(stop - start)
+        held.append(ref is not None and ref() is not None)
         return real_factor(fp, start, stop, coding)
 
+    ref = None
     monkeypatch.setattr(apword.progressions, "factor", spy)
-    b = get_builtin("rs")
-    fp = b.fixed_point()
-    src = PrefixSource(fp)  # four letters: two planes
-    start, n = _start_level(fp), 2**24
-    src.windows(start, n)
-    tracemalloc.start()
-    try:
-        first = src.windows(start + 5, n)
-        held = tracemalloc.get_traced_memory()[0]
-        ref, old = weakref.ref(first.planes), first.planes.nbytes
-        del first
-        tracemalloc.reset_peak()
-        second = src.windows(start + 6, n)
-        now, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert ref() is None, "the last other level is still held"
+    src = PrefixSource(get_builtin("rs").fixed_point())  # four letters: two planes
+    level = src.level(18)  # 11 * 2**18 letters
+    assert src.level(18) is level and len(lengths) == 11 * 2**18 // 2**16
+    ref = weakref.ref(level.planes)
+    del level
+    held.clear()
+    src.get(2**20)
+    assert held and not any(held), "a level was held while the prefix was packed"
     assert max(lengths) <= 2**16
-    assert set(src._levels) == {start, start + 6}
-    new = second.planes.nbytes
-    assert held >= old and now - held <= new - old + 2**12
-    assert peak - held <= new - old + 4 * 2**16, (peak - held - new + old) / 2**16
+    B = 2**18  # the windows [0, 8B) and [11B, 14B), packed one after the other
+    assert src.level(18).spans == ((0, 8 * B, 0), (8 * B, 11 * B, 11 * B))
 
 
 def test_tm_cube_free():
@@ -875,13 +853,40 @@ def test_a_of_d_certification():
     assert certified.best_len == 8  # frozen from the certified scan
     # r_override is not read: the cover certifies with or without it
     assert a_of_d(fp, None, 3, ScanPolicy()) == certified
-    # i2 = 5 and 8 * 3 <= 32, so the certified window is 7 * 32 = 224 letters
-    assert _certified_window(fp, None, 3, 8) == 224
-    exact = a_of_d(fp, None, 3, ScanPolicy(initial_prefix=112, prefix_cap=224))
-    assert (exact.best_len, exact.prefix_len, exact.status) == (8, 224, EXACT)
-    # a cap below the certified window stays an honest lower bound
-    uncert = a_of_d(fp, None, 3, ScanPolicy(initial_prefix=100, prefix_cap=223))
-    assert (uncert.best_len, uncert.status) == (8, LOWER)
+    # i2 = 5 and 8 * 3 <= 32, so the windows of the 2-words end at 7 * 32 = 224 letters
+    assert _certified_window(fp, 3, 8) == certified.prefix_len == 224
+    # they hold 6 * 32 = 192 letters: a smaller budget leaves an honest lower bound
+    assert a_of_d(fp, None, 3, ScanPolicy(prefix_cap=192)) == certified
+    uncert = a_of_d(fp, None, 3, ScanPolicy(prefix_cap=191))
+    assert (uncert.best_len, uncert.prefix_len, uncert.status) == (8, 191, LOWER)
+
+
+def test_a_of_d_decides_rows_whose_windows_reach_past_the_cap():
+    tm9 = get_builtin("tm:9").fixed_point()
+    row = a_of_d(tm9, None, 1)  # i2 = 731,794,256, far past any prefix under the cap
+    assert (row.best_len, row.best_start, row.status) == (2, 43_046_720, EXACT)
+    assert row.prefix_len == _two_word_cover(tm9) * 9 > PREFIX_CAP
+    s = row.best_start  # the first pair of equal neighbours, and no third
+    assert letter_index_at(tm9, s) == letter_index_at(tm9, s + 1)
+    assert letter_index_at(tm9, s + 2) != letter_index_at(tm9, s) != letter_index_at(tm9, s - 1)
+    sup = get_builtin("supersub6").fixed_point()
+    assert [a_of_d(sup, None, d).best_len for d in (26, 104, 112)] == [7, 8, 8]
+    rs = get_builtin("rs")
+    row = a_of_d(rs.fixed_point(), rs.coding("spin"), 1025)
+    assert (row.best_len, row.best_start) == (514, 2**21 - 1025)
+    rows = scan(get_builtin("tm:5").fixed_point(), None, 1, 200, ScanPolicy(prefix_cap=2**24))
+    assert all(row.status == EXACT for row in rows)
+
+
+def test_scan_rows_do_not_depend_on_the_range():
+    # a row starts at the level of the previous row's value, or of d with no
+    # previous row: the rows agree anyway, prefix_len included
+    b = get_builtin("rs")
+    fp, coding = b.fixed_point(), b.coding("spin")
+    first, second = scan(fp, coding, 65, 264), scan(fp, coding, 100, 299)
+    assert first[100 - 65:] == second[:264 - 100 + 1]
+    src = PrefixSource(fp, coding)
+    assert first == [a_of_d(fp, coding, d, source=src) for d in range(65, 265)]
 
 
 @st.composite
@@ -968,11 +973,12 @@ def test_cover_certifies_the_value_of_a_far_longer_prefix(case, initial, cap):
         while block < a * d:
             block *= sub.length
         window = (2 + max(first.values())) * block  # the cover, derived from the prefix
-        if 2 * d + 1 < window <= 2**12:
-            row = a_of_d(fp, coding, d, ScanPolicy(initial_prefix=window, prefix_cap=window))
-            assert (row.best_len, row.status) == (a, EXACT), row
-            short = ScanPolicy(initial_prefix=window - 1, prefix_cap=window - 1)
-            assert a_of_d(fp, coding, d, short).status == LOWER
+        # the windows [fB, (f+2)B) hold this many letters, the budget that decides A(d)
+        held = len({f + j for f in first.values() for j in (0, 1)}) * block
+        if 2 * d + 1 < held and window <= 2**12:
+            row = a_of_d(fp, coding, d, ScanPolicy(prefix_cap=held))
+            assert (row.best_len, row.prefix_len, row.status) == (a, window, EXACT), row
+            assert a_of_d(fp, coding, d, ScanPolicy(prefix_cap=held - 1)).status == LOWER
     policy = ScanPolicy(initial_prefix=initial, prefix_cap=cap)
     for row in scan(fp, coding, 1, min(24, (cap - 1) // 2), policy):
         if row.status == EXACT:
