@@ -67,48 +67,36 @@ class ScanPolicy:
 
 @dataclass(frozen=True, eq=False)
 class PackedWord:
-    """The first n letters of a word as little-endian uint64 bit planes.
+    """Disjoint factors of a word, in order, as little-endian uint64 bit planes.
 
     Bit i of planes[b] is bit b of letter i. Letters below c take
-    ceil(log2 c) planes, and at least one. Every plane ends in a zero guard
-    word past the packed letters, so a shifted read of the word after the
-    last one stays in bounds. PackedWord(w.planes, n) is a view of the first
-    n letters of w: it shares the planes, whose bits from n on are the later
-    letters, not zeros.
+    ceil(log2 c) planes, and at least one. Each factor is packed from a
+    multiple of 64: spans lists (a, b, origin) per factor, and letters [a, b)
+    of the planes are the letters [origin, origin + b - a) of the word. n is
+    the end of the last factor. The bits between factors and from n on are
+    zeros, and every plane ends in a zero guard word, so a shifted read of the
+    word after the last one stays in bounds. A prefix is the one factor [0, n).
     """
     planes: np.ndarray
     n: int
+    spans: tuple
 
     @classmethod
     def pack(cls, word) -> PackedWord:
+        """The letters of word as the one factor [0, len(word))."""
         w = np.asarray(word)
         if w.ndim != 1:
             raise SubstitutionError("word must be one-dimensional")
-        n = len(w)
-        if n == 0:
+        if len(w) == 0:
             raise SubstitutionError("word must be non-empty")
         if w.dtype.kind not in "bui" or (w.dtype.kind == "i" and w.min() < 0):
             raise SubstitutionError("letters must be non-negative integers")
-        planes = np.zeros((max(1, int(w.max()).bit_length()), (n + 63) // 64 + 1), "<u8")
-        _pack_into(planes, 0, n, lambda a, b: w[a:b])
-        return cls(planes, n)
-
-
-@dataclass(frozen=True, eq=False)
-class PackedWindows(PackedWord):
-    """Disjoint factors of a longer word, in order, packed one after another from
-    multiples of 64.
-
-    spans lists (a, b, origin) per factor: letters [a, b) of the planes are the
-    letters [origin, origin + b - a) of the longer word. The letters between
-    factors are zeros, and n is the end of the last one. The kernel counts only
-    progressions inside one factor, and reports starts in the longer word.
-    """
-    spans: tuple = ()
+        return cls.pack_factors(((0, len(w)),), max(1, int(w.max()).bit_length()),
+                                lambda a, b: w[a:b])
 
     @classmethod
-    def pack_factors(cls, factors, planes: int, letters) -> PackedWindows:
-        """Pack letters(start, stop) of each factor [start, stop) of the longer word into
+    def pack_factors(cls, factors, planes: int, letters) -> PackedWord:
+        """Pack letters(start, stop) of each factor [start, stop) of the word into
         the given number of bit planes."""
         spans, a = [], 0
         for start, stop in factors:
@@ -154,7 +142,7 @@ def _first_mask(word: PackedWord, d: int, mask: np.ndarray, scratch: np.ndarray,
 
     Letters i and i + d are equal iff no plane differs there, so p_1 is
     ~OR_b(plane_b ^ (plane_b >> d)). Its bits from n - d on compare letters
-    past the view, or the zeros past the word, and are cleared. The last word
+    with the zeros past the last factor, and are cleared. The last word
     of mask is left as a zero guard word; scratch is a second buffer as long.
     """
     m, size = word.n - d, len(mask) - 1
@@ -264,30 +252,30 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     than 1/16 of its words are non-zero, their indices are listed and every
     later step reads only those words, updating the mask in place.
 
-    For PackedWindows, the bits of p_1 where i and i + d are not in one
-    factor are cleared, so every progression lies inside one factor. The
-    factors are in order, so the lowest set bit is still the least start in
-    the longer word.
+    With two or more factors, the bits of p_1 where i and i + d are not in
+    one factor are cleared, so every progression lies inside one factor. The
+    factors are in order, so the lowest set bit, moved by its factor's
+    origin, is the least start in the word; with no two-term progression,
+    that is the first factor's origin.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
     packed = word if isinstance(word, PackedWord) else PackedWord.pack(word)
-    n = packed.n
+    n, spans = packed.n, packed.spans
     if d >= n:
-        return APResult(d, 1, 0, n, LOWER)
+        return APResult(d, 1, spans[0][2], n, LOWER)
     size = (n - d + 63) // 64
     mask, spare = np.empty(size + 1, "<u8"), np.empty(size + 1, "<u8")
     carry = np.empty(min(size, _BLOCK), "<u8")
     alive = _first_mask(packed, d, mask, spare, carry)
-    spans = packed.spans if isinstance(packed, PackedWindows) else ()
-    if spans:  # clear bits b - d .. a - 1 between factors; a is a multiple of 64
+    if len(spans) > 1:  # clear bits b - d .. a - 1 between factors; a is a multiple of 64
         for (_, b, _), (a, _, _) in zip(spans, spans[1:]):
             w, r = divmod(max(b - d, 0), 64)
             mask[w] &= np.uint64((1 << r) - 1)
             mask[w + 1:min(a // 64, size)] = 0
         alive = np.count_nonzero(mask[:size])
     if not alive:
-        return APResult(d, 1, 0, n, LOWER)
+        return APResult(d, 1, spans[0][2], n, LOWER)
     state = _gallop_state(mask, alive, spare)
     del packed, mask, spare  # a name left bound would keep its array alive through the gallop
     k = 1
@@ -302,51 +290,44 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     i = int(idx[0]) if idx is not None else int((p != 0).argmax())
     low = int(p[i])
     start = 64 * i + (low & -low).bit_length() - 1
-    if spans:  # the factor the start is in
-        a, _, origin = spans[bisect_right(spans, start, key=lambda s: s[0]) - 1]
-        start += origin - a
-    return APResult(d, k + 1, start, n, LOWER)
+    a, _, origin = spans[bisect_right(spans, start, key=lambda s: s[0]) - 1]  # its factor
+    return APResult(d, k + 1, start + origin - a, n, LOWER)
 
 
 class PrefixSource:
-    """Grow-once cache of a (coded) fixed-point prefix, and of its level windows, packed
-    into bit planes.
+    """Packed factor sets of a (coded) fixed point: its level windows and a prefix.
 
-    There are ceil(log2) of the alphabet size planes, and no letters are kept.
-    A growth copies the whole words already packed and packs only the letters
-    after them, chunk by chunk from factor. get(n) returns a PackedWord view
-    of the first n letters that shares the cached planes, so every d scanned
-    on the same prefix reuses one packing. level(k) returns the level-k
-    windows (_level_windows), packed once. A growth of the prefix lets the
-    packed levels go first, so they never add to the peak of packing it.
+    The planes are ceil(log2) of the alphabet size, and no letters are kept:
+    each factor is packed chunk by chunk from factor. level(k) packs the
+    windows _level_windows(fp, k) and get(n) the prefix [0, n), each once, so
+    every d read from one set reuses its packing. get(n) lets every other set
+    go before it packs a prefix it does not hold, so the levels never add to
+    the peak of packing the prefix.
     """
 
     def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
         self.fp = fp
         self.coding = coding
         c = len(coding.names) if coding is not None else fp.sub.size
-        self._word = PackedWord(np.zeros((max(1, (c - 1).bit_length()), 1), "<u8"), 0)
-        self._levels = {}
+        self._planes = max(1, (c - 1).bit_length())
+        self._packed = {}
 
     def get(self, n: int) -> PackedWord:
+        """The first n letters, packed."""
         check_prefix(self.fp, n)
-        if self._word.n < n:
-            self._levels.clear()
-            whole = self._word.n // 64
-            planes = np.zeros((len(self._word.planes), (n + 63) // 64 + 1), "<u8")
-            planes[:, :whole] = self._word.planes[:, :whole]
-            self._word = PackedWord(planes, 0)  # let the shorter planes go before packing
-            _pack_into(planes, 64 * whole, n, lambda a, b: factor(self.fp, a, b, self.coding))
-            self._word = PackedWord(planes, n)
-        return PackedWord(self._word.planes, n)
+        if ((0, n),) not in self._packed:
+            self._packed.clear()
+        return self._pack(((0, n),))
 
-    def level(self, k: int) -> PackedWindows:
+    def level(self, k: int) -> PackedWord:
         """The windows _level_windows(fp, k), packed."""
-        if k not in self._levels:
-            self._levels[k] = PackedWindows.pack_factors(
-                _level_windows(self.fp, k), len(self._word.planes),
-                lambda a, b: factor(self.fp, a, b, self.coding))
-        return self._levels[k]
+        return self._pack(_level_windows(self.fp, k))
+
+    def _pack(self, factors) -> PackedWord:
+        if factors not in self._packed:
+            self._packed[factors] = PackedWord.pack_factors(
+                factors, self._planes, lambda a, b: factor(self.fp, a, b, self.coding))
+        return self._packed[factors]
 
 
 @lru_cache(maxsize=None)

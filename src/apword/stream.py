@@ -172,6 +172,9 @@ def factor(fp: FixedPointSpec, start: int, stop: int,
     """
     if not 0 <= start < stop:
         raise SubstitutionError(f"no letters in [{start}, {stop})")
+    if coding is not None and len(coding.table) != fp.sub.size:
+        raise SubstitutionError(f"coding of {len(coding.table)} letters for a "
+                                f"{fp.sub.size}-letter substitution")
     if fp.sub.length == 1:
         check_prefix(fp, stop)
         return np.full(1, fp.seed if coding is None else coding.table[fp.seed], np.uint8)

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from apword import PrefixSource, get_builtin, max_ap_in_prefix, prefix
-from apword.progressions import PackedWord
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -81,6 +80,27 @@ SPIN = '"matrix": [[0, 0], [0, 1]], "modulus": 2'
 def test_malformed_json_source_exit_1(source):
     cp = run_cli("analyze", "--rules", source)
     assert cp.returncode == 1
+    assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("flag,bad", [
+    ("--file", "directory"), ("--file", "not-utf8"), ("--file", "missing"),
+    ("--coding", "directory"), ("--coding", "not-utf8"),
+    ("--out", "directory"), ("--out", "missing"), ("--csv", "directory"), ("--csv", "missing")])
+def test_file_errors_exit_1(tmp_path: Path, flag, bad):
+    path = tmp_path / bad
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    else:  # in a directory that does not exist; a --coding that names no file is a coding name
+        path = tmp_path / "missing" / "file"
+    args = {"--file": ("apscan", "--file", str(path), "--range", "1:2"),
+            "--coding": ("apscan", "--builtin", "rs", "--coding", str(path), "--range", "1:2"),
+            "--out": ("prefix", "--builtin", "rs", "--length", "8", "--out", str(path)),
+            "--csv": ("apscan", "--builtin", "rs", "--range", "1:2", "--csv", str(path))}[flag]
+    cp = run_cli(*args)
+    assert cp.returncode == 1, cp.stderr
     assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
 
 
@@ -167,10 +187,11 @@ def test_apscan_rows_match_the_plain_kernel(args):
     assert len(rows) == (200 if "rs" in args else 50)
     b = get_builtin(args[1])
     src = PrefixSource(b.fixed_point(), b.coding("spin") if "spin" in args else None)
-    word = src.get(max(n for _, _, _, n in rows))
-    for d, best_len, best_start, n in rows:
-        want = max_ap_in_prefix(PackedWord(word.planes, n), d)
-        assert (best_len, best_start) == (want.best_len, want.best_start), d
+    for n in sorted({n for _, _, _, n in rows}):
+        word = src.get(n)
+        for d, best_len, best_start, _ in (row for row in rows if row[3] == n):
+            want = max_ap_in_prefix(word, d)
+            assert (best_len, best_start) == (want.best_len, want.best_start), d
 
 
 def test_apscan_deterministic(tmp_path: Path):

@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from apword.progressions import (
     _PACK_CHUNK,
     EXACT,
     LOWER,
-    PackedWindows,
     PackedWord,
     _certification_basis,
     _certified_window,
@@ -344,29 +344,15 @@ def _factor_spans(monkeypatch) -> list[tuple[int, int]]:
     return spans
 
 
-def assert_tiles(spans, final, growths):
-    """The spans cover [0, final) in order; each growth starts at most 63 letters back."""
-    assert spans[0][0] == 0 and spans[-1][1] == final
-    backs = [stop - start for (_, stop), (start, _) in zip(spans, spans[1:])]
-    assert all(0 <= back < 64 for back in backs), backs
-    assert sum(back > 0 for back in backs) <= growths
-
-
 def test_prefix_source_keeps_planes_only(monkeypatch):
     spans = _factor_spans(monkeypatch)
     b = get_builtin("tm:3")
     src = PrefixSource(b.fixed_point())
-    longer = src.get(5000)
+    word = src.get(5000)
     assert not [v for v in vars(src).values() if isinstance(v, np.ndarray)]
-    assert longer.n == 5000 and longer.planes.shape == (2, (5000 + 63) // 64 + 1)  # letters 0..2, guard word
-    assert longer.planes.dtype == np.dtype("<u8")
-    shorter = src.get(3000)
-    assert shorter.n == 3000 and shorter.planes is longer.planes
-    assert spans == [(0, 5000)]
-    grown = src.get(5000 + 640)
-    assert spans == [(0, 5000), (64 * (5000 // 64), 5640)]  # the partial last word again
-    assert_tiles(spans, 5640, 1)
-    assert grown.planes is not longer.planes
+    assert word.n == 5000 and word.planes.shape == (2, (5000 + 63) // 64 + 1)  # letters 0..2, guard word
+    assert word.planes.dtype == np.dtype("<u8") and word.spans == ((0, 5000, 0),)
+    assert src.get(5000) is word and spans == [(0, 5000)]  # packed once
     for bad in (0, -1):
         with pytest.raises(SubstitutionError):
             src.get(bad)
@@ -396,27 +382,26 @@ def plane_bits(word: PackedWord) -> np.ndarray:
 @pytest.mark.parametrize("name,coding,planes", [
     ("tm:2", None, 1), ("rs", "spin", 1), ("tm:3", None, 2), ("rs", None, 2), ("tm:5", None, 3)])
 def test_prefix_source_growth_matches_packing_the_prefix(monkeypatch, name, coding, planes):
-    # 192-letter chunks: growths cross chunks, start mid-word and grow by one letter
+    # 192-letter chunks: prefixes end inside a chunk, on a word edge and one letter
+    # past it; a prefix the source does not hold, longer or shorter, is packed afresh
     monkeypatch.setattr(apword.progressions, "_PACK_CHUNK", 192)
     spans = _factor_spans(monkeypatch)
     b = get_builtin(name)
     fp, code = b.fixed_point(), b.coding(coding) if coding else None
     src = PrefixSource(fp, code)
-    top, growths = 0, 0
     for n in (1, 2, 63, 64, 65, 193, 833, 834, 100, 1024, 1025, 1665, 1000, 2048 + 7, 2048 + 8):
+        spans.clear()
         word = src.get(n)
         got, want = plane_bits(word), plane_bits(PackedWord.pack(prefix(fp, n, code)))
         assert len(got) == planes and len(want) <= planes
         assert np.array_equal(got[:len(want), :n], want[:, :n]) and not got[len(want):, :n].any()
-        if n > top:
-            top, growths = n, growths + 1
-            assert not got[:, n:].any(), n  # zeros after the letters, guard word included
-        assert_tiles(spans, top, growths)
+        assert not got[:, n:].any(), n  # zeros after the letters, guard word included
+        assert spans == [(a, min(a + 192, n)) for a in range(0, n, 192)], n  # each letter once
 
 
 @pytest.mark.parametrize("name,coding", [("tm:3", None), ("rs", "spin")])
 def test_prefix_source_growth_peak_memory(name, coding):
-    # planes only: the old and new planes, or the new planes and one chunk of letters
+    # planes only: the shorter prefix is let go before the longer one is packed
     b = get_builtin(name)
     src = PrefixSource(b.fixed_point(), b.coding(coding) if coding else None)
     tracemalloc.start()
@@ -431,17 +416,17 @@ def test_prefix_source_growth_peak_memory(name, coding):
 
 @pytest.mark.parametrize("d", [1, 63, 64, 65, 1025])
 def test_kernel_on_views_of_a_longer_word(d):
-    # every (n - d) mod 64, so the last mask word ends on each bit; the bits
-    # past n - d are letters of the longer word and must be cleared
+    # every (n - d) mod 64, so the last mask word ends on each bit; the factor
+    # [0, n) is packed from the longer word, and the zeros past n must not
+    # extend a run
     rng = np.random.default_rng(d)
     longest = d + 64 * 20 + 64 + 200
     words = [np.zeros(longest, np.uint8), rng.integers(0, 3, longest).astype(np.uint8),
              (np.arange(longest) // 7 % 2).astype(np.uint8)]
     for w in words:
-        packed = PackedWord.pack(w)
         for t in range(64):
             n = d + 64 * 20 + t
-            got = max_ap_in_prefix(PackedWord(packed.planes, n), d)
+            got = max_ap_in_prefix(PackedWord.pack_factors(((0, n),), 2, lambda a, b: w[a:b]), d)
             assert got.prefix_len == n
             assert (got.best_len, got.best_start) == _kernel(w[:n], d) \
                 == max_ap_by_residues(w[:n], d), t
@@ -449,17 +434,34 @@ def test_kernel_on_views_of_a_longer_word(d):
 
 @pytest.mark.parametrize("name", ["rs", "tm:3", "hadamard4"])
 def test_kernel_on_prefix_source_views(name):
+    # each get(n) packs the prefix [0, n) on its own
     b = get_builtin(name)
     fp = b.fixed_point()
     for coding in [None, *b.codings().values()]:
         w = prefix(fp, 6000, coding)
         src = PrefixSource(fp, coding)
-        src.get(len(w))
         for d in (1, 63, 64, 65, 1025):
             for n in range(d + 1280, d + 1344):
                 got = max_ap_in_prefix(src.get(n), d)
                 assert (got.best_len, got.best_start) == _kernel(w[:n], d) \
                     == max_ap_by_residues(w[:n], d), (coding, d, n)
+
+
+@pytest.mark.parametrize("name", ["rs", "tm:3", "hadamard4"])
+def test_kernel_on_one_factor_past_the_start(name):
+    # starts are places in the word: the kernel on the factor's letters alone,
+    # moved by the factor's start, also where no two letters d apart are equal
+    b = get_builtin(name)
+    fp = b.fixed_point()
+    for coding in [None, *b.codings().values()]:
+        for s, t in ((1, 700), (63, 1064), (1000, 6000)):
+            letters = prefix(fp, t, coding)
+            word = PackedWord.pack_factors(((s, t),), max(1, int(letters.max()).bit_length()),
+                                           lambda a, b: letters[a:b])
+            assert word.spans == ((0, t - s, s),)
+            for d in (1, 3, 63, 64, 65, 1025, t - s - 1, t - s):
+                got, want = max_ap_in_prefix(word, d), max_ap_in_prefix(letters[s:], d)
+                assert got == replace(want, best_start=want.best_start + s), (coding, s, d)
 
 
 @pytest.mark.parametrize("d", [1, 65, 1025])
@@ -574,13 +576,15 @@ def test_scan_repeats_no_kernel_call(monkeypatch):
     real_kernel = apword.progressions.max_ap_in_prefix
 
     def spy(word, d):
-        calls.append((word.spans, d))
+        calls.append((tuple((o, o + b - a) for a, b, o in word.spans), d))
         return real_kernel(word, d)
 
     monkeypatch.setattr(apword.progressions, "max_ap_in_prefix", spy)
-    rows = scan(get_builtin("tm:5").fixed_point(), None, 200, 300)
+    fp = get_builtin("tm:5").fixed_point()
+    rows = scan(fp, None, 200, 300)
     assert all(row.status == EXACT for row in rows)
-    assert all(spans for spans, _ in calls)  # every call reads level windows
+    levels = {_level_windows(fp, k) for k in range(1, 12)}
+    assert all(factors in levels for factors, _ in calls)  # every call reads level windows
     assert len(set(calls)) == len(calls), "a kernel call on one level was repeated"
 
 
@@ -609,26 +613,25 @@ def words_in_factors(draw):
 @given(case=words_in_factors())
 def test_kernel_on_windows_matches_each_factor(case):
     word, factors, d = case
-    packed = PackedWindows.pack_factors(factors, 2, lambda a, b: word[a:b])
+    packed = PackedWord.pack_factors(factors, 2, lambda a, b: word[a:b])
     got = max_ap_in_prefix(packed, d)
     found = [(*max_ap_oracle(word[a:b], d), a) for a, b in factors]
     best = max(length for length, _, _ in found)
     assert (got.best_len, got.prefix_len) == (best, packed.n)
-    leftmost = min(a + s for length, s, a in found if length == best)
-    assert got.best_start == (0 if best == 1 else leftmost)
+    assert got.best_start == min(a + s for length, s, a in found if length == best)
 
 
 def test_kernel_on_windows_clears_across_factors():
     # a 64-letter run of 1s, cut into two factors of 32: no progression crosses the cut
     word = np.ones(64, np.uint8)
-    packed = PackedWindows.pack_factors([(0, 32), (32, 64)], 1, lambda a, b: word[a:b])
+    packed = PackedWord.pack_factors([(0, 32), (32, 64)], 1, lambda a, b: word[a:b])
     assert [s[:2] for s in packed.spans] == [(0, 32), (64, 96)]
     for d, want in [(1, (32, 0)), (31, (2, 0)), (32, (1, 0))]:
         got = max_ap_in_prefix(packed, d)
         assert (got.best_len, got.best_start) == want, d
     # starts are positions in the longer word: 2s at 137, 142, ..., 182 in the second factor
     word = plant_ap(np.arange(200, dtype=np.uint8) % 2, 5, 137, 10, 2)
-    packed = PackedWindows.pack_factors([(7, 50), (130, 190)], 2, lambda a, b: word[a:b])
+    packed = PackedWord.pack_factors([(7, 50), (130, 190)], 2, lambda a, b: word[a:b])
     got = max_ap_in_prefix(packed, 5)
     assert (got.best_len, got.best_start, got.prefix_len) == (10, 137, 64 + 60)
 
@@ -700,14 +703,26 @@ def block_cases(draw):
     return fp, draw(codings(fp)), draw(st.integers(1, 40))
 
 
+class PrefixReads(PrefixSource):
+    """A PrefixSource that records the prefix lengths it is asked for."""
+
+    def __init__(self, fp, coding=None):
+        super().__init__(fp, coding)
+        self.reads = []
+
+    def get(self, n):
+        self.reads.append(n)
+        return super().get(n)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=block_cases())
 def test_a_of_d_matches_the_oracle_past_its_windows_property(case):
     fp, coding, d = case
-    src = PrefixSource(fp, coding)
+    src = PrefixReads(fp, coding)
     policy = ScanPolicy(prefix_cap=2**16)
     row = a_of_d(fp, coding, d, policy, source=src)
-    if src._word.n:  # over the budget: the plain kernel on the first 2^16 letters
+    if src.reads:  # over the budget: the plain kernel on the first 2^16 letters
         want = max_ap_in_prefix(prefix(fp, policy.prefix_cap, coding), d)
         assert row == want
         return
@@ -729,10 +744,12 @@ def test_level_windows_leftmost_start_past_the_first_block_of_its_window():
     assert _level_windows(fp, 1) == ((0, 20), (56, 68), (236, 248))
     word = PrefixSource(fp).level(1)
     assert word.spans == ((0, 20, 0), (64, 76, 56), (128, 140, 236))
-    got = max_ap_in_prefix(PackedWindows(word.planes, 76, word.spans[:2]), 1)
+    letters = prefix(fp, 248)
+    got = max_ap_in_prefix(PackedWord.pack_factors(_level_windows(fp, 1)[:2], 2,
+                                                   lambda a, b: letters[a:b]), 1)
     assert (got.best_len, got.best_start) == (4, 60)
     got = max_ap_in_prefix(word, 1)  # aaac cccc cccc from 236: the run of 9 from 239
-    assert (got.best_len, got.best_start) == (9, 239) == max_ap_oracle(prefix(fp, 248).tolist(), 1)
+    assert (got.best_len, got.best_start) == (9, 239) == max_ap_oracle(letters.tolist(), 1)
 
 
 @pytest.mark.parametrize("name, coding, n", [
@@ -769,8 +786,8 @@ def test_level_windows_with_no_two_term_progression():
 
 
 def test_prefix_source_lets_its_levels_go_before_growing(monkeypatch):
-    # a level is packed once, from chunks of at most _PACK_CHUNK letters, and a
-    # growth of the prefix lets the levels go before it generates a letter
+    # a level is packed once, from chunks of at most _PACK_CHUNK letters, and
+    # packing a prefix lets the levels go before it generates a letter
     monkeypatch.setattr(apword.progressions, "_PACK_CHUNK", 2**16)
     lengths, held = [], []
     real_factor = apword.progressions.factor

@@ -9,9 +9,11 @@ from apword import (
     Alphabet,
     Coding,
     FixedPointSpec,
+    PrefixSource,
     ResourceCapError,
     Substitution,
     SubstitutionError,
+    a_of_d,
     factor,
     get_builtin,
     letter_at,
@@ -79,6 +81,21 @@ def test_coding_from_map_and_injectivity():
     assert not collapse.is_injective
     with pytest.raises(SubstitutionError):
         Coding.from_map(tm, {"0": "x"})
+
+
+@pytest.mark.parametrize("name", ["tm:3", "tm:5", "tm:2"])
+def test_coding_for_another_alphabet_is_an_error(name):
+    # the 4-entry rs spin coding once gave tm:3 letters and A(2) = 12, and tm:5 an IndexError
+    fp = get_builtin(name).fixed_point()
+    for coding in (get_builtin("rs").coding("spin"), Coding((0,), ("x",))):
+        with pytest.raises(SubstitutionError, match="coding of"):
+            prefix(fp, 12, coding)
+        with pytest.raises(SubstitutionError, match="coding of"):
+            factor(fp, 5, 9, coding)
+        with pytest.raises(SubstitutionError, match="coding of"):
+            PrefixSource(fp, coding).get(12)
+        with pytest.raises(SubstitutionError, match="coding of"):
+            a_of_d(fp, coding, 2)
 
 
 @pytest.mark.parametrize("bad", [0, "", "y z", "y\n", None, ["y"]])
