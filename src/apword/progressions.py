@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from types import MappingProxyType
 
@@ -76,10 +76,19 @@ class PackedWord:
     the end of the last factor. The bits between factors and from n on are
     zeros, and every plane ends in a zero guard word, so a shifted read of the
     word after the last one stays in bounds. A prefix is the one factor [0, n).
+
+    The word also keeps the kernel's buffers, allocated on the first call and
+    reused by every later d: the mask, one word per plane word, and two
+    blocks of scratch. So two kernel calls on one word must not run at once.
     """
     planes: np.ndarray
     n: int
     spans: tuple
+
+    @cached_property
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        width = self.planes.shape[1]
+        return np.empty(width, "<u8"), *np.empty((2, min(width, _BLOCK)), "<u8")
 
     @classmethod
     def pack(cls, word) -> PackedWord:
@@ -143,7 +152,7 @@ def _first_mask(word: PackedWord, d: int, mask: np.ndarray, scratch: np.ndarray,
     Letters i and i + d are equal iff no plane differs there, so p_1 is
     ~OR_b(plane_b ^ (plane_b >> d)). Its bits from n - d on compare letters
     with the zeros past the last factor, and are cleared. The last word
-    of mask is left as a zero guard word; scratch is a second buffer as long.
+    of mask is left as a zero guard word; scratch and carry hold a block each.
     """
     m, size = word.n - d, len(mask) - 1
     q, r = divmod(d, 64)
@@ -164,27 +173,38 @@ def _first_mask(word: PackedWord, d: int, mask: np.ndarray, scratch: np.ndarray,
     return alive
 
 
-def _dense_step(p: np.ndarray, spare: np.ndarray, carry: np.ndarray,
+def _dense_step(p: np.ndarray, scratch: np.ndarray, carry: np.ndarray,
                 shift: int) -> tuple[np.ndarray, int] | None:
-    """p & (p >> shift) on a dense mask, written into spare block by block.
+    """p & (p >> shift) in place on a dense mask p, block by block upwards.
 
-    The last word of p is a zero guard word. Returns the new mask, a view of
-    spare with a guard word of its own, and its number of non-zero words; None
-    if the shift is past the end of p.
+    The last word of p is a zero guard word; scratch and carry hold a block
+    each. Each block reads its shifted words into scratch before it writes
+    itself, so every read sees the old mask. Blocks that come out zero are
+    written only once a later block comes out non-zero. Returns the new mask,
+    a shorter view of p with a guard word of its own, and its number of
+    non-zero words; None if no bit is left, which leaves p as it was.
     """
     q, r = divmod(shift, 64)
     m = len(p) - 1 - q
     if m <= 0:
         return None
-    out = spare[:m + 1]
     alive = 0
     for a in range(0, m, _BLOCK):
-        o = out[a:min(a + _BLOCK, m)]
-        _shift_into(o, p, a + q, r, carry)
-        o &= p[a:a + len(o)]
-        alive += np.count_nonzero(o)
-    out[m] = 0
-    return out, alive
+        o = p[a:min(a + _BLOCK, m)]
+        s = scratch[:len(o)]
+        _shift_into(s, p, a + q, r, carry)
+        if alive:
+            o &= s
+            alive += np.count_nonzero(o)
+        else:
+            s &= o
+            if alive := np.count_nonzero(s):
+                p[:a] = 0  # the zero blocks below, deferred until now
+                o[:] = s
+    if not alive:
+        return None
+    p[m] = 0
+    return p[:m + 1], alive
 
 
 def _sparse_step(p: np.ndarray, idx: np.ndarray,
@@ -214,28 +234,24 @@ def _sparse_step(p: np.ndarray, idx: np.ndarray,
     return p, keep
 
 
-def _gallop_state(p: np.ndarray, alive: int, spare: np.ndarray):
-    """(p, idx, spare) for a dense mask p with its guard word and `alive` non-zero words.
+def _gallop_state(p: np.ndarray, alive: int):
+    """(p, idx) for a dense mask p with its guard word and `alive` non-zero words.
 
     Once fewer than 1/_SPARSE_SHARE of the words are non-zero, p loses its
-    guard word, idx lists the non-zero words and the spare buffer is let go.
-    Until then idx is None.
+    guard word and idx lists the non-zero words. Until then idx is None.
     """
     if alive * _SPARSE_SHARE < len(p) - 1:
-        return p[:-1], np.flatnonzero(p[:-1]), None
-    return p, None, spare
+        return p[:-1], np.flatnonzero(p[:-1])
+    return p, None
 
 
-def _and_shifted(state, shift: int, carry: np.ndarray):
+def _and_shifted(state, shift: int, scratch: np.ndarray, carry: np.ndarray):
     """The gallop state after p & (p >> shift), or None if no bit is left."""
-    p, idx, spare = state
+    p, idx = state
     if idx is not None:
-        longer = _sparse_step(p, idx, shift)
-        return None if longer is None else (*longer, None)
-    longer = _dense_step(p, spare, carry, shift)
-    if longer is None or not longer[1]:
-        return None
-    return _gallop_state(*longer, p)
+        return _sparse_step(p, idx, shift)
+    longer = _dense_step(p, scratch, carry, shift)
+    return None if longer is None else _gallop_state(*longer)
 
 
 def max_ap_in_prefix(word, d: int) -> APResult:
@@ -247,10 +263,11 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     every s <= k, k gallops up by doubling and back down by halving to the
     largest k with a set bit; the lowest set bit of that mask is the leftmost
     start. A call takes O(log A(d)) steps whatever d is. p_1 is built from
-    the planes, and while the mask is dense each step writes it block by
-    block into the other of two buffers allocated once per call. Once fewer
-    than 1/16 of its words are non-zero, their indices are listed and every
-    later step reads only those words, updating the mask in place.
+    the planes into the word's mask buffer, and while the mask is dense each
+    step rewrites it in place, block by block. Once fewer than 1/16 of its
+    words are non-zero, their indices are listed and every later step reads
+    only those words. Calls on one PackedWord share its buffers, so they
+    must not run at once.
 
     With two or more factors, the bits of p_1 where i and i + d are not in
     one factor are cleared, so every progression lies inside one factor. The
@@ -265,9 +282,9 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     if d >= n:
         return APResult(d, 1, spans[0][2], n, LOWER)
     size = (n - d + 63) // 64
-    mask, spare = np.empty(size + 1, "<u8"), np.empty(size + 1, "<u8")
-    carry = np.empty(min(size, _BLOCK), "<u8")
-    alive = _first_mask(packed, d, mask, spare, carry)
+    mask, scratch, carry = packed._buffers
+    mask = mask[:size + 1]
+    alive = _first_mask(packed, d, mask, scratch, carry)
     if len(spans) > 1:  # clear bits b - d .. a - 1 between factors; a is a multiple of 64
         for (_, b, _), (a, _, _) in zip(spans, spans[1:]):
             w, r = divmod(max(b - d, 0), 64)
@@ -276,17 +293,16 @@ def max_ap_in_prefix(word, d: int) -> APResult:
         alive = np.count_nonzero(mask[:size])
     if not alive:
         return APResult(d, 1, spans[0][2], n, LOWER)
-    state = _gallop_state(mask, alive, spare)
-    del packed, mask, spare  # a name left bound would keep its array alive through the gallop
+    state = _gallop_state(mask, alive)
     k = 1
-    while (longer := _and_shifted(state, k * d, carry)) is not None:
+    while (longer := _and_shifted(state, k * d, scratch, carry)) is not None:
         state, k = longer, 2 * k
     step = k // 2
     while step:
-        if (longer := _and_shifted(state, step * d, carry)) is not None:
+        if (longer := _and_shifted(state, step * d, scratch, carry)) is not None:
             state, k = longer, k + step
         step //= 2
-    p, idx, _ = state
+    p, idx = state
     i = int(idx[0]) if idx is not None else int((p != 0).argmax())
     low = int(p[i])
     start = 64 * i + (low & -low).bit_length() - 1
@@ -300,9 +316,10 @@ class PrefixSource:
     The planes are ceil(log2) of the alphabet size, and no letters are kept:
     each factor is packed chunk by chunk from factor. level(k) packs the
     windows _level_windows(fp, k) and get(n) the prefix [0, n), each once, so
-    every d read from one set reuses its packing. get(n) lets every other set
-    go before it packs a prefix it does not hold, so the levels never add to
-    the peak of packing the prefix.
+    every d read from one set reuses its packing and its kernel buffers.
+    get(n) lets every other set go, buffers included, before it packs a
+    prefix it does not hold, so the levels never add to the peak of packing
+    the prefix.
     """
 
     def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):

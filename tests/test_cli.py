@@ -284,6 +284,23 @@ def test_prefix_text_on_stdout_is_utf8(tmp_path: Path):
     assert cp.stdout.splitlines()[-1] == "α β β α β α α β".encode()
 
 
+@pytest.mark.parametrize("fmt", ["text", "u8"])
+def test_prefix_to_a_closed_pipe_ends_quietly(fmt):
+    # like `apword prefix ... | head -c 20`: the reader stops long before the end
+    cmd = [sys.executable, "-m", "apword", "prefix", "--builtin", "rs", "--length", "10000000",
+           "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == b""
+    want = b"# apword" if fmt == "text" else prefix(get_builtin("rs").fixed_point(), 20).tobytes()
+    assert len(head) == 20 and head.startswith(want)
+
+
 @pytest.mark.parametrize("symbols", [[0, 1], ["x", ""], ["x", "y z"], ["x", None]])
 def test_prefix_coding_file_with_bad_symbols_exit_1(tmp_path: Path, symbols):
     # integer symbols once reached " ".join and died with a TypeError traceback

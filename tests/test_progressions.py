@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import apword.progressions
@@ -38,6 +38,7 @@ from apword.progressions import (
     PackedWord,
     _certification_basis,
     _certified_window,
+    _dense_step,
     _level,
     _level_windows,
     _two_word_cover,
@@ -314,7 +315,8 @@ def test_kernel_traced_peak_memory(monkeypatch):
 
 
 def test_kernel_packed_peak_memory(monkeypatch):
-    # fed planes packed beforehand, a call holds two mask buffers of n/8 bytes each
+    # fed planes packed beforehand, a call holds one mask buffer of n/8 bytes and two
+    # 256 KiB blocks of scratch, all kept by the word
     b = get_builtin("rs")
     word = PackedWord.pack(prefix(b.fixed_point(), 2**24, b.coding("spin")))
     counts = _sparse_word_counts(monkeypatch)
@@ -325,10 +327,125 @@ def test_kernel_packed_peak_memory(monkeypatch):
             tracemalloc.reset_peak()
             max_ap_in_prefix(word, d)
             peak = tracemalloc.get_traced_memory()[1]
-            assert peak <= 0.35 * word.n, (d, peak / word.n)
+            assert peak <= 0.2 * word.n, (d, peak / word.n)
             assert counts or d < 1025, "the gallop never reached its sparse tail"
     finally:
         tracemalloc.stop()
+
+
+def test_kernel_second_call_allocates_no_mask(monkeypatch):
+    # the word's buffers serve every later d; a call allocates only the sparse
+    # tail's index lists
+    b = get_builtin("rs")
+    word = PackedWord.pack(prefix(b.fixed_point(), 2**24, b.coding("spin")))
+    max_ap_in_prefix(word, 5)
+    mask = word._buffers[0]
+    counts = _sparse_word_counts(monkeypatch)
+    tracemalloc.start()
+    try:
+        for d in (1, 3, 64, 1025, 4097, 8193):
+            counts.clear()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            max_ap_in_prefix(word, d)
+            extra = tracemalloc.get_traced_memory()[1] - before
+            assert extra < 0.06 * word.n, (d, extra / word.n)
+            assert counts or d < 1025, "the gallop never reached its sparse tail"
+    finally:
+        tracemalloc.stop()
+    assert word._buffers[0] is mask
+
+
+@st.composite
+def dense_gallop_cases(draw):
+    """(word, d, block): a word of at most 4 letters, long runs and planted
+    progressions among them, a difference and a dense-step block of 1-4 words."""
+    n = draw(st.integers(1, 2000))
+    c = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "runs", "planted", "periodic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "runs":  # runs of one letter, some as long as the word
+        ends = np.sort(rng.integers(0, n, draw(st.integers(0, 6))))
+        word = rng.integers(0, c, len(ends) + 1)[np.searchsorted(ends, np.arange(n), "right")]
+    elif kind == "periodic":
+        word = np.resize(rng.integers(0, c, draw(st.integers(1, 9))), n)
+    else:
+        word = rng.integers(0, c, n)
+    word = word.astype(np.uint8)
+    d = draw(st.one_of(st.integers(1, 70), st.integers(1, n + 2)))
+    if kind == "planted" and d < n:  # a long progression, often in the last words
+        start = draw(st.integers(0, n - 1 - d))
+        word = plant_ap(word, d, start, draw(st.integers(2, (n - 1 - start) // d + 1)), c)
+    return word, d, draw(st.integers(1, 4))
+
+
+def _no_sparse_step(p, idx, shift):
+    raise AssertionError("the gallop turned sparse")
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=dense_gallop_cases())
+def test_kernel_in_place_dense_steps_match_dense_reference(monkeypatch, case):
+    # blocks of 1-4 words: q is often shorter than a block, so a block's shifted
+    # read overlaps itself, and many steps begin with zero blocks; the gallop
+    # never turns sparse, so every step is in place
+    word, d, block = case
+    monkeypatch.setattr(apword.progressions, "_BLOCK", block)
+    monkeypatch.setattr(apword.progressions, "_SPARSE_SHARE", 2**20)
+    monkeypatch.setattr(apword.progressions, "_sparse_step", _no_sparse_step)
+    assert _kernel(word, d) == max_ap_dense(word, d)
+
+
+def test_dense_step_with_no_bit_left_leaves_the_mask(monkeypatch):
+    # blocks of 2 words; p & (p >> 64) keeps word i iff words i and i + 1 share a bit
+    monkeypatch.setattr(apword.progressions, "_BLOCK", 2)
+    scratch, carry = np.empty((2, 2), "<u8")
+    p = np.array([1 << 5, 0, 1 << 9, 0, 1 << 2, 0, 1 << 3, 1 << 4, 0], "<u8")
+    before = p.copy()
+    assert _dense_step(p, scratch, carry, 64) is None  # four zero blocks, none written
+    assert np.array_equal(p, before)
+    assert _dense_step(p, scratch, carry, 64 * 8) is None and np.array_equal(p, before)
+    # three zero blocks below a non-zero one: they are zeroed once it is written
+    p[7] = 1 << 3
+    out, alive = _dense_step(p, scratch, carry, 64)
+    assert alive == 1 and np.shares_memory(out, p)
+    assert out.tolist() == [0, 0, 0, 0, 0, 0, 1 << 3, 0]  # the last word is the guard word
+    # r != 0: bit 63 of word 1 meets bit 0 of word 2 at shift 1
+    p = np.array([1, 1 << 63, 1, 0, 0], "<u8")
+    out, alive = _dense_step(p, scratch, carry, 1)
+    assert out.tolist() == [0, 1 << 63, 0, 0, 0] and alive == 1
+
+
+@pytest.mark.parametrize("name,coding", [("rs", "spin"), ("tm:3", None)])
+def test_mask_reuse_leaks_nothing_between_calls(monkeypatch, name, coding):
+    # one level and one prefix, d in shuffled order: each row equals a call on a
+    # fresh pack of the same letters, whose mask buffer is new
+    b = get_builtin(name)
+    fp = b.fixed_point()
+    src = PrefixSource(fp, b.coding(coding) if coding else None)
+    counts = _sparse_word_counts(monkeypatch)
+    rng = np.random.default_rng(18)
+    for word in (src.level(12), src.get(2**16 + 37)):
+        ds = [1, 2, 3, 63, 64, 65, 129, 1025, 4097, 8193, word.n - 1, word.n, word.n + 5]
+        for d in rng.permutation(ds + ds).tolist():
+            fresh = PackedWord(word.planes.copy(), word.n, word.spans)
+            assert max_ap_in_prefix(word, d) == max_ap_in_prefix(fresh, d), d
+        assert counts, "the gallop never reached its sparse tail"
+        counts.clear()
+
+
+def test_level_mask_goes_with_its_level():
+    b = get_builtin("rs")
+    src = PrefixSource(b.fixed_point(), b.coding("spin"))
+    level = src.level(12)
+    max_ap_in_prefix(level, 65)
+    ref = weakref.ref(level._buffers[0])
+    del level
+    assert ref() is not None  # the source still holds the level and its mask
+    word = src.get(2**16)
+    max_ap_in_prefix(word, 65)
+    assert ref() is None
 
 
 def _factor_spans(monkeypatch) -> list[tuple[int, int]]:
