@@ -59,7 +59,6 @@ from .spin import (
     vandermonde,
 )
 from .supersub import (
-    Partition,
     SetGraph,
     check_partition,
     export_dot,

@@ -16,7 +16,6 @@ from .spin import (
 )
 from .stream import Coding, FixedPointSpec
 from .substitution import Substitution, parse_substitution
-from .supersub import Partition
 
 
 @dataclass(frozen=True)
@@ -28,15 +27,18 @@ class Builtin:
     spin: SpinSystem | None = None
     partition: tuple[tuple[str, ...], ...] | None = None
     column_positions: tuple[int, ...] | None = None
-    target_letter: str | None = None
 
     def fixed_point(self) -> FixedPointSpec:
         return FixedPointSpec.find(self.substitution, self.seed)
 
     def codings(self) -> dict[str, Coding]:
-        if self.spin is None:
-            return {}
-        return {"spin": spin_coding(self.spin), "digit": digit_coding(self.spin)}
+        table = {}
+        if self.spin is not None:
+            table |= {"spin": spin_coding(self.spin), "digit": digit_coding(self.spin)}
+        if self.partition is not None:  # blocks listed by least member: block i is symbol i
+            table["partition"] = Coding.from_map(self.substitution, {
+                a: str(i + 1) for i, block in enumerate(self.partition) for a in block})
+        return table
 
     def coding(self, name: str | None) -> Coding | None:
         if name is None or name == "none":
@@ -45,11 +47,6 @@ class Builtin:
         if name not in table:
             raise SubstitutionError(f"builtin {self.name!r} has no coding {name!r}")
         return table[name]
-
-    def partition_blocks(self) -> Partition:
-        if self.partition is None:
-            raise SubstitutionError(f"builtin {self.name!r} has no partition")
-        return Partition.from_names(self.substitution, self.partition)
 
 
 def cyclic_shift_substitution(L: int) -> Substitution:
@@ -113,7 +110,6 @@ _register(Builtin(
     "a",
     partition=(("a", "b"), ("c", "d"), ("e", "f")),
     column_positions=(0, 3),
-    target_letter="a",
 ))
 
 _register(Builtin(

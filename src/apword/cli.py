@@ -1,7 +1,7 @@
 """Batch command-line front end emitting JSON, CSV, and DOT artifacts.
 
 Exit codes: 0 success / all pass, 1 input error, 2 verification failure,
-3 resource cap exceeded.
+3 resource cap exceeded (also a verify member over it, when none fails).
 """
 
 from __future__ import annotations
@@ -221,7 +221,11 @@ def cmd_verify(args) -> int:
 
 
 def exit_code_for_reports(reports) -> int:
-    return EXIT_VERIFY if any(r.verdict == "FAIL" for r in reports) else EXIT_OK
+    """2 if a member fails, else 3 if one hit the resource cap, else 0."""
+    verdicts = {r.verdict for r in reports}
+    if "FAIL" in verdicts:
+        return EXIT_VERIFY
+    return EXIT_RESOURCE if "ERROR" in verdicts else EXIT_OK
 
 
 def cmd_vdw(args) -> int:
@@ -269,7 +273,7 @@ def _add_source_flags(p: argparse.ArgumentParser):
 
 
 def _add_scan_flags(p: argparse.ArgumentParser):
-    p.add_argument("--coding", help="coding name (spin, digit, none) or JSON file")
+    p.add_argument("--coding", help="coding name (spin, digit, partition, none) or JSON file")
     p.add_argument("--initial-prefix", type=int, default=2**20,
                    help="checked but no longer read: A(d) is read from the 2-word windows")
     p.add_argument("--prefix-cap", type=int, default=2**26,

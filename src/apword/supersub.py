@@ -1,4 +1,8 @@
-"""Partition quotients, lifted progression witnesses, and the graph of sets."""
+"""Partition quotients, lifted progression witnesses, and the graph of sets.
+
+A letter partition is a Coding: its blocks are the fibres of coding.table,
+and quotient letter i is symbol i, named coding.names[i].
+"""
 
 from __future__ import annotations
 
@@ -7,87 +11,59 @@ from dataclasses import dataclass
 from .errors import SubstitutionError
 from .groups import generate_group, identity_difference
 from .progressions import DifferenceFamily
-from .stream import FixedPointSpec, letter_index_at
+from .stream import Coding, FixedPointSpec, letter_index_at
 from .substitution import Alphabet, Substitution, star_defect
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint letter blocks covering the alphabet, ordered by smallest member."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise SubstitutionError("empty partition block")
-            if block & seen:
-                raise SubstitutionError("overlapping partition blocks")
-            seen |= block
-        mins = [min(b) for b in self.blocks]
-        if mins != sorted(mins):
-            raise SubstitutionError("blocks must be ordered by smallest member")
-
-    @classmethod
-    def from_names(cls, sub: Substitution, groups) -> "Partition":
-        blocks = [frozenset(sub.alphabet.index(x) for x in block) for block in groups]
-        blocks.sort(key=min)
-        part = cls(tuple(blocks))
-        if set().union(*part.blocks) != set(range(sub.size)):
-            raise SubstitutionError("partition does not cover the alphabet")
-        return part
-
-    def block_of(self, letter: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if letter in block:
-                return i
-        raise SubstitutionError(f"letter index {letter} not covered by the partition")
 
 
 @dataclass(frozen=True)
 class PartitionCheck:
     ok: bool
-    theta: tuple[int, ...] | None = None       # letter -> block index
     quotient: Substitution | None = None
-    violation: tuple[int, int, int, int] | None = None  # column, block, letter, letter
+    violation: tuple[int, int, int, int] | None = None  # column, symbol, letter, letter
 
 
-def check_partition(sub: Substitution, partition: Partition) -> PartitionCheck:
-    """Quotient substitution on blocks when every column respects the blocks."""
-    if set().union(*partition.blocks) != set(range(sub.size)):
-        raise SubstitutionError("partition does not cover the alphabet")
-    theta = tuple(partition.block_of(a) for a in range(sub.size))
-    n = len(partition.blocks)
+def check_partition(sub: Substitution, coding: Coding) -> PartitionCheck:
+    """Quotient substitution on the coding's symbols when every column respects
+    its fibres: theta.sigma = xi.theta for theta = coding.table, so theta(x) is
+    the fixed point of xi from theta(seed)."""
+    theta = coding.table
+    if len(theta) != sub.size:
+        raise SubstitutionError(f"coding of {len(theta)} letters for a "
+                                f"{sub.size}-letter substitution")
+    fibres = [[a for a in range(sub.size) if theta[a] == i] for i in range(len(coding.names))]
+    if unused := [name for name, fibre in zip(coding.names, fibres) if not fibre]:
+        raise SubstitutionError(f"coding symbols {unused} code no letter")
     rules = []
-    for i, block in enumerate(partition.blocks):
+    for i, fibre in enumerate(fibres):
         rule = []
-        ref = min(block)
+        ref = fibre[0]
         for ell in range(sub.length):
             t = theta[sub.rules[ref][ell]]
-            for a in sorted(block):
+            for a in fibre:
                 if theta[sub.rules[a][ell]] != t:
                     return PartitionCheck(False, violation=(ell, i, ref, a))
             rule.append(t)
         rules.append(tuple(rule))
-    names = Alphabet(tuple(str(i + 1) for i in range(n)))
-    return PartitionCheck(True, theta, Substitution(names, tuple(rules)))
+    return PartitionCheck(True, Substitution(Alphabet(coding.names), tuple(rules)))
 
 
-def lift_identity_family(sub: Substitution, partition: Partition, ks,
+def _quotient(sub: Substitution, coding: Coding) -> Substitution:
+    check = check_partition(sub, coding)
+    if not check.ok:
+        raise SubstitutionError(f"partition does not induce a quotient: {check.violation}")
+    return check.quotient
+
+
+def lift_identity_family(sub: Substitution, coding: Coding, ks,
                          seed: str | int | None = None) -> list[DifferenceFamily]:
     """Identity-column family of the quotient, lifted to the original word.
 
-    Needs the seed's block to be a singleton so block hits pin down the letter.
+    Needs the seed's fibre to be a singleton so symbol hits pin down the letter.
     """
-    check = check_partition(sub, partition)
-    if not check.ok:
-        raise SubstitutionError(f"partition does not induce a quotient: {check.violation}")
+    xi = _quotient(sub, coding)
     fp = FixedPointSpec.find(sub, seed)
-    block0 = partition.block_of(fp.seed)
-    if len(partition.blocks[block0]) != 1:
+    if coding.table.count(coding.table[fp.seed]) != 1:
         raise SubstitutionError("seed block must be a singleton to lift progressions")
-    xi = check.quotient
     if (defect := star_defect(xi)) is not None:
         raise SubstitutionError(f"quotient substitution {defect}")
     e = generate_group(xi).exponent
@@ -101,45 +77,44 @@ def lift_identity_family(sub: Substitution, partition: Partition, ks,
     return out
 
 
-def lift_column_family(sub: Substitution, partition: Partition, positions,
+def lift_column_family(sub: Substitution, coding: Coding, positions,
                        target_letter: str | int, d: int, max_len: int = 10_000,
                        seed: str | int | None = None) -> list[int]:
     """Verified progression positions k*d whose letters are pinned to one target.
 
     Each multiple must end (base L) in one of the given column positions, all
-    of which send the target's block to the target letter; the truncated index
-    must land on the target block in the quotient fixed point. The run stops
+    of which send the target's fibre to the target letter; the truncated index
+    must land on the target's symbol in the quotient fixed point. The run stops
     at the first multiple violating either condition, and every returned
     position is re-checked against the actual fixed point.
     """
     target = target_letter if isinstance(target_letter, int) \
         else sub.alphabet.index(target_letter)
-    check = check_partition(sub, partition)
-    if not check.ok:
-        raise SubstitutionError(f"partition does not induce a quotient: {check.violation}")
-    block_idx = partition.block_of(target)
-    block = partition.blocks[block_idx]
+    xi = _quotient(sub, coding)
+    if not 0 <= target < sub.size:
+        raise SubstitutionError(f"letter index {target} out of range")
+    symbol = coding.table[target]
     positions = sorted(set(positions))
     for c in positions:
         if not 0 <= c < sub.length:
             raise SubstitutionError(f"column position {c} out of range")
-        for a in block:
-            if sub.rules[a][c] != target:
+        for a in range(sub.size):
+            if coding.table[a] == symbol and sub.rules[a][c] != target:
                 raise SubstitutionError(
                     f"column {c} does not send block letter "
                     f"{sub.alphabet.letters[a]!r} to the target"
                 )
     fp = FixedPointSpec.find(sub, seed)
-    if partition.block_of(fp.seed) != block_idx:
+    if coding.table[fp.seed] != symbol:
         raise SubstitutionError("fixed-point seed lies outside the target block")
-    quotient_fp = FixedPointSpec.find(check.quotient, block_idx)
+    quotient_fp = FixedPointSpec.find(xi, symbol)
     allowed = set(positions)
     out = []
     for k in range(max_len):
         n = k * d
         if n % sub.length not in allowed:
             break
-        if letter_index_at(quotient_fp, n // sub.length) != block_idx:
+        if letter_index_at(quotient_fp, n // sub.length) != symbol:
             break
         if letter_index_at(fp, n) != target:
             raise SubstitutionError(f"internal error: position {n} is not the target letter")
@@ -147,10 +122,11 @@ def lift_column_family(sub: Substitution, partition: Partition, positions,
     return out
 
 
-def induced_partition(sub: Substitution, pairs) -> Partition:
+def induced_partition(sub: Substitution, pairs) -> Coding:
     """Convenience tooling: smallest column-compatible partition merging the
     given letter pairs, found by merge-find closure (same block forces the
     columnwise images into the same block). Singleton blocks fill the rest.
+    The coding numbers its blocks by least member and names them "1".."n".
     """
     parent = list(range(sub.size))
 
@@ -176,11 +152,9 @@ def induced_partition(sub: Substitution, pairs) -> Partition:
         for ell in range(sub.length):
             for a in members[1:]:
                 queue.append((sub.rules[ref][ell], sub.rules[a][ell]))
-    blocks: dict[int, set[int]] = {}
-    for a in range(sub.size):
-        blocks.setdefault(find(a), set()).add(a)
-    ordered = sorted((frozenset(b) for b in blocks.values()), key=min)
-    return Partition(tuple(ordered))
+    roots = list(dict.fromkeys(find(a) for a in range(sub.size)))  # by least member
+    return Coding(tuple(roots.index(find(a)) for a in range(sub.size)),
+                  tuple(str(i + 1) for i in range(len(roots))))
 
 
 @dataclass

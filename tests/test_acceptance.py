@@ -182,7 +182,7 @@ def test_criterion_7_group_structure():
 
 def test_criterion_8_supersubstitution_lifting():
     b = get_builtin("supersub6")
-    part = b.partition_blocks()
+    part = b.coding("partition")
     pos = lift_column_family(b.substitution, part, b.column_positions, "a", 129)
     ok1 = len(pos) >= 4
     # d for the second family member from its defining form 3 + 3*6^n + 3*6^2n
@@ -192,7 +192,7 @@ def test_criterion_8_supersubstitution_lifting():
     fp = b.fixed_point()
     ok3 = all(letter_at(fp, p) == "a" for p in pos + pos2)
     b5 = get_builtin("supersub5")
-    members = lift_identity_family(b5.substitution, b5.partition_blocks(), [1])
+    members = lift_identity_family(b5.substitution, b5.coding("partition"), [1])
     reports = verify_family(b5.fixed_point(), None, members, ScanPolicy(prefix_cap=2**23))
     ok4 = all(r.verdict == "PASS" for r in reports)
     _report(8, ok1 and ok2 and ok3 and ok4,
@@ -207,7 +207,8 @@ def test_criterion_8_literal_spec_value_d2_4215():
     # x = sigma^7(x) is a concatenation of level-7 blocks of length 6^7, and 13
     # terms at d = 4215 span 12*4215 + 1 <= 6^7 + 1 letters, so they would lie
     # inside sigma^7(uv) for a legal two-letter word uv. The maximum over all
-    # those covers bounds A(4215) above; the prefix scan attains it.
+    # those covers bounds A(4215) above; the prefix scan attains it. The
+    # library's block form (a_of_d on the 2-word windows) gives the same value.
     b = get_builtin("supersub6")
     sub, fp, d = b.substitution, b.fixed_point(), 4215
     d2 = 3 + 3 * 6**2 + 3 * 6**4
@@ -225,13 +226,14 @@ def test_criterion_8_literal_spec_value_d2_4215():
               (blocks[sub.alphabet.index(w[0])], blocks[sub.alphabet.index(w[1])], gap)]
     bound = max_ap_in_prefix(np.concatenate(covers), d).best_len
     scanned = max_ap_in_prefix(prefix(fp, 2**24), d).best_len
-    pos = lift_column_family(sub, b.partition_blocks(), b.column_positions, "a", d)
-    ok = (len(words) == 33 and bound == scanned == 12 and len(pos) == 9
+    windows = a_of_d(fp, None, d).best_len
+    pos = lift_column_family(sub, b.coding("partition"), b.column_positions, "a", d)
+    ok = (len(words) == 33 and windows == bound == scanned == 12 and len(pos) == 9
           and all(letter_at(fp, p) == "a" for p in pos))
     _report("8 (literal d2=4215)", ok,
             f"A({d}) = {bound} exact by level-7 two-letter cover over {len(words)} words "
-            f"(scanned {scanned}, lift run {len(pos)}); literal >= 24 unattainable "
-            f"(digit slip for {d2})")
+            f"(scanned {scanned}, 2-word windows {windows}, lift run {len(pos)}); "
+            f"literal >= 24 unattainable (digit slip for {d2})")
 
 
 def test_criterion_9_graph_of_sets():
@@ -278,10 +280,11 @@ def test_criterion_10_property_suites():
         bad.append("vandermonde recurrence")
     for name in ["supersub5", "supersub6"]:
         b = get_builtin(name)
-        res = check_partition(b.substitution, b.partition_blocks())
+        theta = b.coding("partition").table
+        res = check_partition(b.substitution, b.coding("partition"))
         if not res.ok or any(
-                [res.theta[x] for x in b.substitution.rules[a]]
-                != list(res.quotient.rules[res.theta[a]])
+                [theta[x] for x in b.substitution.rules[a]]
+                != list(res.quotient.rules[theta[a]])
                 for a in range(b.substitution.size)):
             bad.append(f"square {name}")
     for sys in (rs, vandermonde(3)):

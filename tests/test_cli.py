@@ -409,5 +409,29 @@ def test_verify_failure_exit_code_mapping():
     fam = DifferenceFamily("identity", (1,), 3, 2, None)
     ok = BoundReport(fam, APResult(3, 4, 0, 100, "LowerBoundOnly"), "PASS")
     bad = BoundReport(fam, APResult(3, 1, 0, 100, "LowerBoundOnly"), "FAIL")
-    assert exit_code_for_reports([ok]) == 0
+    capped = BoundReport(fam, None, "ERROR")
+    unmeasured = BoundReport(fam, None, "PREDICTED-ONLY")
+    assert exit_code_for_reports([]) == 0
+    assert exit_code_for_reports([ok, unmeasured]) == 0
     assert exit_code_for_reports([ok, bad]) == 2
+    assert exit_code_for_reports([capped, ok]) == 3
+    assert exit_code_for_reports([capped, bad, ok]) == 2  # a failure outranks the cap
+
+
+def test_verify_members_over_the_resource_cap_exit_3():
+    # a budget over PREFIX_CAP makes every measured member an ERROR report
+    cp = run_cli("verify", "--builtin", "rs", "--k-range", "1:2", "--prefix-cap", "2147483648")
+    assert cp.returncode == 3, cp.stderr
+    verdicts = [r["verdict"] for r in json.loads(cp.stdout)["reports"]]
+    assert verdicts == ["ERROR"] * 6
+
+
+def test_apscan_partition_coding_is_the_quotient_scan():
+    def rows(*source):
+        cp = run_cli("apscan", *source, "--range", "1:200")
+        assert cp.returncode == 0, cp.stderr
+        return [line.split(",")[:3] for line in cp.stdout.splitlines()[2:]]
+
+    coded = rows("--builtin", "supersub6", "--coding", "partition")
+    assert len(coded) == 200
+    assert coded == rows("--rules", "1 -> 111112 ; 2 -> 222223 ; 3 -> 333331")

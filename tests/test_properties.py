@@ -67,11 +67,11 @@ def test_spin_recurrence_general(sys):
 @pytest.mark.parametrize("name", ["supersub5", "supersub6"])
 def test_quotient_commuting_square(name):
     b = get_builtin(name)
-    sub = b.substitution
-    res = check_partition(sub, b.partition_blocks())
+    sub, theta = b.substitution, b.coding("partition").table
+    res = check_partition(sub, b.coding("partition"))
     assert res.ok
     for a in range(sub.size):
-        assert [res.theta[x] for x in sub.rules[a]] == list(res.quotient.rules[res.theta[a]])
+        assert [theta[x] for x in sub.rules[a]] == list(res.quotient.rules[theta[a]])
 
 
 @pytest.mark.parametrize("sys", SPINS)

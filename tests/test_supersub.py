@@ -1,12 +1,15 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apword import (
     Alphabet,
-    Partition,
+    Coding,
+    FixedPointSpec,
+    ScanPolicy,
     Substitution,
     SubstitutionError,
     check_partition,
@@ -20,22 +23,28 @@ from apword import (
     lift_identity_family,
     parse_substitution,
     prefix,
+    scan,
 )
 
 
 def blocks(name):
     b = get_builtin(name)
-    return b, b.partition_blocks()
+    return b, b.coding("partition")
 
 
 def test_partition_canonical_order_and_validation():
-    sub = get_builtin("supersub5").substitution
-    part = Partition.from_names(sub, [["d", "e"], ["a"], ["b", "c"]])
-    assert [min(b) for b in part.blocks] == sorted(min(b) for b in part.blocks)
-    with pytest.raises(SubstitutionError):
-        Partition.from_names(sub, [["a", "b"], ["b", "c"], ["d", "e"]])
-    with pytest.raises(SubstitutionError):
-        Partition.from_names(sub, [["a"], ["b", "c"]])
+    b, part = blocks("supersub5")
+    sub = b.substitution
+    # from_map numbers the symbols by least member, whatever they are called
+    named = Coding.from_map(sub, {"d": "x", "e": "x", "a": "y", "b": "z", "c": "z"})
+    assert named.table == part.table == (0, 1, 1, 2, 2) and named.names == ("y", "z", "x")
+    assert check_partition(sub, named).quotient.rules == check_partition(sub, part).quotient.rules
+    with pytest.raises(SubstitutionError, match=r"\['3'\] code no letter"):
+        check_partition(sub, Coding((0, 1, 1, 3, 3), ("1", "2", "3", "4")))
+    with pytest.raises(SubstitutionError, match="5-letter substitution"):
+        check_partition(sub, Coding((0, 1, 1, 2), ("1", "2", "3")))
+    with pytest.raises(SubstitutionError, match="misses letters"):
+        Coding.from_map(sub, {"a": "1", "b": "2", "c": "2"})
 
 
 def test_check_partition_supersub5():
@@ -58,7 +67,7 @@ def test_check_partition_supersub6():
 
 def test_check_partition_invalid_with_counterexample():
     sub = get_builtin("outlook6").substitution
-    part = Partition.from_names(sub, [["a", "b"], ["c", "d", "e", "f"]])
+    part = Coding.from_map(sub, {"a": "1", "b": "1", "c": "2", "d": "2", "e": "2", "f": "2"})
     res = check_partition(sub, part)
     assert not res.ok and res.quotient is None
     ell, block, x, y = res.violation
@@ -72,7 +81,7 @@ def test_commuting_square(name):
     b, part = blocks(name)
     sub = b.substitution
     res = check_partition(sub, part)
-    theta, xi = res.theta, res.quotient
+    theta, xi = part.table, res.quotient
     for a in range(sub.size):
         left = [theta[x] for x in sub.rules[a]]
         right = list(xi.rules[theta[a]])
@@ -84,12 +93,25 @@ def test_quotient_fixed_point_is_projection(name):
     b, part = blocks(name)
     res = check_partition(b.substitution, part)
     fp = b.fixed_point()
-    from apword import FixedPointSpec
-    qfp = FixedPointSpec.find(res.quotient, res.theta[fp.seed])
+    qfp = FixedPointSpec.find(res.quotient, part.table[fp.seed])
     n = b.substitution.length**5
-    v = prefix(fp, n)
-    w = prefix(qfp, n)
-    assert all(res.theta[v[i]] == w[i] for i in range(n))
+    assert np.array_equal(prefix(fp, n, part), prefix(qfp, n))
+
+
+def assert_scan_matches_quotient_scan(fp, part, d_to, policy=ScanPolicy()):
+    """theta(x) is the quotient's fixed point at theta(seed), so A(d) and its
+    leftmost start read through the coding are the quotient's."""
+    qfp = FixedPointSpec.find(check_partition(fp.sub, part).quotient, part.table[fp.seed])
+    coded = scan(fp, part, 1, d_to, policy)
+    plain = scan(qfp, None, 1, d_to, policy)
+    assert [(r.best_len, r.best_start) for r in coded] == \
+        [(r.best_len, r.best_start) for r in plain]
+
+
+@pytest.mark.parametrize("name", ["supersub5", "supersub6"])
+def test_partition_coding_scan_is_the_quotient_scan(name):
+    b, part = blocks(name)
+    assert_scan_matches_quotient_scan(b.fixed_point(), part, 200)
 
 
 def test_lift_identity_family_supersub5():
@@ -102,7 +124,7 @@ def test_lift_identity_family_supersub5():
 def test_lift_identity_family_rejects_trivial_quotient():
     b = get_builtin("supersub5")
     sub = b.substitution
-    whole = Partition.from_names(sub, [["a", "b", "c", "d", "e"]])
+    whole = Coding((0,) * 5, ("1",))
     with pytest.raises(SubstitutionError):
         lift_identity_family(sub, whole, [1])
 
@@ -134,16 +156,17 @@ def test_lift_column_family_validates_columns():
     b, part = blocks("supersub6")
     with pytest.raises(SubstitutionError):
         lift_column_family(b.substitution, part, (0, 1), "a", 129)
+    with pytest.raises(SubstitutionError, match="out of range"):
+        lift_column_family(b.substitution, part, b.column_positions, 6, 129)
 
 
 def test_induced_partition_tooling():
-    from apword import induced_partition
     b6 = get_builtin("supersub6")
     part = induced_partition(b6.substitution, [("a", "b")])
-    assert part == b6.partition_blocks()
+    assert part == b6.coding("partition")
     b5 = get_builtin("supersub5")
     part5 = induced_partition(b5.substitution, [("b", "c")])
-    assert [len(blk) for blk in part5.blocks] == [1, 2, 1, 1]
+    assert part5 == Coding((0, 1, 1, 2, 3), ("1", "2", "3", "4"))
     assert check_partition(b5.substitution, part5).ok
 
 
@@ -270,8 +293,10 @@ def test_group_transitivity_matches_orbit_closure(sub):
 
 @st.composite
 def partitioned_substitutions(draw):
-    """A substitution and a partition: arbitrary labels, or the induced closure
-    of random pairs so that compatible partitions occur too."""
+    """A substitution and a partition coding: the induced closure of random
+    pairs, so that compatible partitions occur too, or arbitrary labels with
+    the symbols numbered in label order, so that symbol i need not hold the
+    i-th least letter."""
     sub = draw(substitutions())
     c = sub.size
     if draw(st.booleans()):
@@ -279,19 +304,18 @@ def partitioned_substitutions(draw):
                               max_size=3))
         return sub, induced_partition(sub, pairs)
     labels = draw(st.lists(st.integers(0, c - 1), min_size=c, max_size=c))
-    groups = {}
-    for a, label in enumerate(labels):
-        groups.setdefault(label, set()).add(a)
-    return sub, Partition(tuple(sorted(map(frozenset, groups.values()), key=min)))
+    used = sorted(set(labels))
+    return sub, Coding(tuple(used.index(x) for x in labels), tuple(f"s{x}" for x in used))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=partitioned_substitutions())
 def test_check_partition_matches_first_violation(case):
     sub, part = case
-    theta = {a: i for i, block in enumerate(part.blocks) for a in block}
+    theta = part.table
     expected = None
-    for i, block in enumerate(part.blocks):
+    for i in range(len(part.names)):
+        block = [a for a in range(sub.size) if theta[a] == i]
         for ell in range(sub.length):
             ref = min(block)
             bad = [a for a in block if theta[sub.rules[a][ell]] != theta[sub.rules[ref][ell]]]
@@ -300,5 +324,19 @@ def test_check_partition_matches_first_violation(case):
     res = check_partition(sub, part)
     assert res.violation == expected and res.ok == (expected is None)
     if res.ok:
+        assert res.quotient.alphabet.letters == part.names
         for a in range(sub.size):
             assert list(res.quotient.rules[theta[a]]) == [theta[x] for x in sub.rules[a]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=partitioned_substitutions())
+def test_partition_coding_scan_matches_quotient_scan_on_random_partitions(case):
+    sub, part = case
+    res = check_partition(sub, part)
+    if not res.ok or sub.length == 1:
+        return
+    fp = FixedPointSpec.find(sub)
+    if FixedPointSpec.find(res.quotient, part.table[fp.seed]).power != 1:
+        return
+    assert_scan_matches_quotient_scan(fp, part, 12, ScanPolicy(prefix_cap=2**14))
