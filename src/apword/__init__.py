@@ -1,5 +1,18 @@
 """Arithmetic progressions in fixed points of constant-length substitutions."""
 
+import os
+
+# apword makes no BLAS call (tests/test_blas_threads.py), yet OpenBLAS starts a
+# busy-waiting worker per core when NumPy loads. Load it with one thread unless
+# the user chose a count, then put the environment back as it was. NumPy
+# imported before apword keeps the threads it started.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import ParseError, ResourceCapError, SubstitutionError
 from .substitution import (
     Alphabet,

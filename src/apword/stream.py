@@ -126,6 +126,8 @@ class Coding:
         for name in self.names:  # the rule Alphabet applies to letters
             if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
                 raise SubstitutionError(f"bad coding symbol {name!r}")
+        if len(set(self.names)) != len(self.names):
+            raise SubstitutionError(f"duplicate coding symbols in {self.names}")
 
     @property
     def is_injective(self) -> bool:

@@ -107,6 +107,14 @@ def test_coding_symbols_are_whitespace_free_tokens(bad):
         Coding((0, 1), ("x", bad))
 
 
+def test_coding_symbols_are_distinct():
+    # two output indices printed alike would make the text form lie about is_injective
+    with pytest.raises(SubstitutionError, match="duplicate coding symbols"):
+        Coding((0, 1), ("x", "x"))
+    with pytest.raises(SubstitutionError, match="duplicate coding symbols"):
+        Coding((0, 0), ("x", "y", "x"))
+
+
 @pytest.mark.parametrize("mapping", [5, ["x", "y"], "xy", None])
 def test_coding_from_map_needs_a_mapping(mapping):
     # a JSON number once died with a TypeError in the letter lookup
