@@ -19,7 +19,6 @@ from .substitution import (
     AperiodicityResult,
     CollaredSubstitution,
     ColumnMap,
-    HeightResult,
     RecurrenceReport,
     Substitution,
     aperiodicity_certificate,

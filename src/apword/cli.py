@@ -125,7 +125,7 @@ def cmd_analyze(args) -> int:
         "bijective": is_bijective(sub),
         "columns": {kind: kinds.count(kind) for kind in sorted(set(kinds))},
     }
-    cert = aperiodicity_certificate(sub, detector_prefix=args.detector_prefix)
+    cert = aperiodicity_certificate(sub)
     report["aperiodicity"] = {"status": cert.status, "period": cert.period}
     if report["bijective"]:
         group = generate_group(sub)
@@ -290,7 +290,6 @@ def build_parser() -> _Parser:
     _add_source_flags(p)
     p.add_argument("--json", help="output path (default stdout)")
     p.add_argument("--exact-recurrence", action="store_true")
-    p.add_argument("--detector-prefix", type=int, default=2**20)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("prefix", help="emit a fixed-point prefix")

@@ -7,12 +7,10 @@ together with their verification harness.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import gcd
-from types import MappingProxyType
 
 import numpy as np
 
@@ -25,14 +23,14 @@ from .groups import (
     palindromicity,
 )
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
-from .stream import Coding, FixedPointSpec, check_prefix, factor
+from .stream import Coding, FixedPointSpec, _level, _level_windows, _two_words, check_prefix, factor
 from .substitution import (
     Substitution,
     column,
     min_pair_cover_power,
     star_defect,
 )
-from .vdw import ceil_log, min_prime_power
+from .vdw import min_prime_power
 
 EXACT = "ExactUnderBound"
 LOWER = "LowerBoundOnly"
@@ -390,55 +388,9 @@ def upper_bound(sub: Substitution, d: int) -> int | None:
     return min(candidates)
 
 
-@lru_cache(maxsize=None)
-def _two_words(fp: FixedPointSpec) -> MappingProxyType:
-    """W2, the 2-words of x = σ^p(x), each mapped to the index of its first occurrence.
-
-    For m = i·L^p + j with j < L^p, x[m, m+2) = σ^p(x_i x_{i+1})[j, j+2), so the
-    first occurrence of a 2-word is the least first(uv)·L^p + j over the 2-words
-    uv and offsets j that give it: shortest paths from x_0 x_1, read off the rules.
-    """
-    images = [fp.sub.expand(a, fp.power) for a in range(fp.sub.size)]
-    first, heap = {}, [(0, fp.seed, images[fp.seed][1])]
-    while heap:
-        i, a, b = heapq.heappop(heap)
-        if (a, b) not in first:
-            first[a, b] = i
-            w = images[a] + images[b]
-            for j in range(len(images[a])):
-                heapq.heappush(heap, (i * len(images[a]) + j, w[j], w[j + 1]))
-    return MappingProxyType(first)
-
-
 def _two_word_cover(fp: FixedPointSpec) -> int:
     """i2 + 2, for i2 the largest first-occurrence index of a 2-word of the fixed point."""
     return max(_two_words(fp).values()) + 2
-
-
-@lru_cache(maxsize=None)
-def _level_windows(fp: FixedPointSpec, k: int) -> tuple[tuple[int, int], ...]:
-    """The windows [fB, (f+2)B) at the first occurrences f of the 2-words, B = L**k, merged
-    where they overlap or touch. They hold a copy of every progression of at
-    most B + 1 letters in x, starting no later than it.
-
-    k is a multiple of fp.power, so x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A
-    progression starting at s in block i = s // B lies in x[iB, (i+2)B), and so
-    does its copy at fB + s - iB in x[fB, (f+2)B), for f <= i the first
-    occurrence of x_i x_{i+1}.
-    """
-    B = fp.sub.length**k
-    windows = []
-    for f in sorted(_two_words(fp).values()):
-        if windows and f * B <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], (f + 2) * B)
-        else:
-            windows.append((f * B, (f + 2) * B))
-    return tuple(windows)
-
-
-def _level(fp: FixedPointSpec, length: int) -> int:
-    """The least multiple k of fp.power with L**k >= length."""
-    return -(-ceil_log(fp.sub.length, length) // fp.power) * fp.power
 
 
 def _certified_window(fp: FixedPointSpec, d: int, best_len: int) -> int:

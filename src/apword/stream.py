@@ -1,9 +1,11 @@
-"""Random access and bulk prefixes for substitution fixed points."""
+"""Random access, bulk prefixes and 2-word windows of substitution fixed points."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,6 +27,18 @@ def base_digits(k: int, base: int) -> list[int]:
         k, r = divmod(k, base)
         digits.append(r)
     return digits
+
+
+def ceil_log(base: int, value: int) -> int:
+    """Least k >= 0 with base**k >= value, by integer comparison only."""
+    if base < 2 or value < 1:
+        raise SubstitutionError("ceil_log needs base >= 2 and value >= 1")
+    k = 0
+    power = 1
+    while power < value:
+        power *= base
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=None)
@@ -200,3 +214,49 @@ def prefix(fp: FixedPointSpec, length: int, coding: Coding | None = None,
     """First `length` letters as a uint8 index array, coded if requested."""
     check_prefix(fp, length, cap)
     return factor(fp, 0, length, coding)
+
+
+@lru_cache(maxsize=None)
+def _two_words(fp: FixedPointSpec) -> MappingProxyType:
+    """W2, the 2-words of x = σ^p(x), each mapped to the index of its first occurrence.
+
+    For m = i·L^p + j with j < L^p, x[m, m+2) = σ^p(x_i x_{i+1})[j, j+2), so the
+    first occurrence of a 2-word is the least first(uv)·L^p + j over the 2-words
+    uv and offsets j that give it: shortest paths from x_0 x_1, read off the rules.
+    """
+    images = [fp.sub.expand(a, fp.power) for a in range(fp.sub.size)]
+    first, heap = {}, [(0, fp.seed, images[fp.seed][1])]
+    while heap:
+        i, a, b = heapq.heappop(heap)
+        if (a, b) not in first:
+            first[a, b] = i
+            w = images[a] + images[b]
+            for j in range(len(images[a])):
+                heapq.heappush(heap, (i * len(images[a]) + j, w[j], w[j + 1]))
+    return MappingProxyType(first)
+
+
+@lru_cache(maxsize=None)
+def _level_windows(fp: FixedPointSpec, k: int) -> tuple[tuple[int, int], ...]:
+    """The windows [fB, (f+2)B) at the first occurrences f of the 2-words, B = L**k, merged
+    where they overlap or touch. They hold a copy of every factor of at most
+    B + 1 letters of x, starting no later than it.
+
+    k is a multiple of fp.power, so x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A
+    factor starting at s in block i = s // B lies in x[iB, (i+2)B), and so
+    does its copy at fB + s - iB in x[fB, (f+2)B), for f <= i the first
+    occurrence of x_i x_{i+1}.
+    """
+    B = fp.sub.length**k
+    windows = []
+    for f in sorted(_two_words(fp).values()):
+        if windows and f * B <= windows[-1][1]:
+            windows[-1] = (windows[-1][0], (f + 2) * B)
+        else:
+            windows.append((f * B, (f + 2) * B))
+    return tuple(windows)
+
+
+def _level(fp: FixedPointSpec, length: int) -> int:
+    """The least multiple k of fp.power with L**k >= length."""
+    return -(-ceil_log(fp.sub.length, length) // fp.power) * fp.power

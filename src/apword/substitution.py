@@ -10,10 +10,11 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
-from .stream import FixedPointSpec, base_digits, prefix
+from .stream import FixedPointSpec, _level, _level_windows, base_digits, factor, prefix
 
 MAX_DENSE_ALPHABET = 256  # letters are stored as uint8 in bulk kernels
-_RECURRENCE_CAP = 2**26  # most letters the exact recurrence scan reads
+_RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
+_DETECTOR_PREFIX = 2**20  # letters the periodicity detector reads
 
 
 def wielandt_cap(n: int) -> int:
@@ -386,7 +387,7 @@ def min_pair_cover_power(sub: Substitution) -> int:
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    """Linear-recurrence data: the generic constant and the exact values from a scan."""
+    """Linear-recurrence data: the generic constant and the exact values."""
 
     r_formula: int
     n_bound: int
@@ -411,39 +412,32 @@ def recurrence_formula(c: int, L: int) -> tuple[int, int]:
 
 
 def recurrence_constants(sub: Substitution) -> RecurrenceReport:
-    """Exact recurrence data, from a scan of one fixed point for return-word gaps.
+    """Exact recurrence data: N by min_pair_cover_power, zeta_2 from the level windows.
 
-    The scan window is sized so every return word to a legal 2-word must
-    already have occurred; hitting a cap first is an error, not a guess.
+    A 2-word recurs inside every two level-N images, so consecutive
+    occurrences lie in a factor of at most 2 L^N + 1 letters. The windows of
+    the least level k with L^k >= 2 L^N + 1 hold a copy of every such factor
+    (_level_windows), and each window is a factor of x, so the largest gap
+    inside one window is zeta_2. Windows over the budget are refused unread.
     """
     c, L = sub.size, sub.length
     r_formula, n_bound = recurrence_formula(c, L)
     if L < 2:
         raise SubstitutionError("exact recurrence needs substitution length >= 2")
-
     n_exact = min_pair_cover_power(sub)
-    gap_bound = 2 * L**n_exact - 1  # a 2-word recurs inside every two level-n images
-    needed = (L * gap_bound + 1) * (gap_bound + 2)
-    cap = min(L ** (n_bound + 2), _RECURRENCE_CAP)  # least power of L reaching 2 L^(n_bound+1)
-    if needed > cap:
-        raise ResourceCapError(
-            f"exact recurrence scan needs a prefix of {needed} letters, cap is {cap}"
-        )
-
     fp = FixedPointSpec.find(sub)
-    w = prefix(fp, needed)
-    codes = w[:-1].astype(np.int32) * c + w[1:]
+    windows = _level_windows(fp, _level(fp, 2 * L**n_exact + 1))
+    letters = sum(b - a for a, b in windows)
+    if letters > _RECURRENCE_CAP:
+        raise ResourceCapError(f"exact recurrence windows hold {letters} letters, "
+                               f"cap is {_RECURRENCE_CAP}")
     zeta2 = 0
-    for a, b in sorted(_legal_index_words(sub, 2)):
-        positions = np.flatnonzero(codes == a * c + b)
-        if len(positions) < 2:
-            raise ResourceCapError(
-                f"2-word {sub.alphabet.word_str((a, b))!r} did not recur in {needed} letters"
-            )
-        gap = int(np.diff(positions).max())
-        if gap > gap_bound:
-            raise SubstitutionError("return-word gap exceeded its structural bound")
-        zeta2 = max(zeta2, gap)
+    for a, b in windows:
+        w = factor(fp, a, b).astype(np.uint16)  # c <= 256: a 2-word code fits 16 bits
+        codes = w[:-1] * c + w[1:]
+        at = np.argsort(codes, kind="stable")  # the occurrences of each 2-word, in order
+        gaps = np.diff(at)[codes[at[1:]] == codes[at[:-1]]]
+        zeta2 = max(zeta2, int(gaps.max(initial=0)))
     return RecurrenceReport(r_formula, n_bound, n_exact, zeta2, L * zeta2)
 
 
@@ -492,7 +486,7 @@ def star_defect(sub: Substitution) -> str | None:
     return None
 
 
-def aperiodicity_certificate(sub: Substitution, *, detector_prefix: int = 2**20) -> AperiodicityResult:
+def aperiodicity_certificate(sub: Substitution) -> AperiodicityResult:
     """Certify aperiodicity for primitive bijective substitutions, else try to
     detect a periodic fixed point on a prefix."""
     if is_primitive(sub) and is_bijective(sub) and _two_words_share_an_end(sub):
@@ -502,40 +496,46 @@ def aperiodicity_certificate(sub: Substitution, *, detector_prefix: int = 2**20)
         )
 
     fp = FixedPointSpec.find(sub)
-    n = detector_prefix
-    w = bytes(prefix(fp, n))
+    w = bytes(prefix(fp, _DETECTOR_PREFIX))
     p = _min_period(w)
-    if p <= n // 2:
-        block = list(w[:p])
-        if sub.apply(block) == block * sub.length:
+    if p <= _DETECTOR_PREFIX // 2:
+        block = list(w[:p])  # x = block^∞ iff σ^p(block) = block^(L^p), p = fp.power
+        if substitution_power(sub, fp.power).apply(block) == block * sub.length**fp.power:
             return AperiodicityResult("PeriodicDetected", period=p)
     return AperiodicityResult("Unknown")
 
 
-@dataclass(frozen=True)
-class HeightResult:
-    value: int
-    prefix_len: int
+def _has_labelling(images, seed: int, n: int) -> bool:
+    """Whether λ(seed) = 0 and λ(images[a][j]) = λ(a)·len(images[a]) + j mod n
+    label every letter reached from the seed consistently."""
+    label, todo = {seed: 0}, [seed]
+    while todo:
+        a = todo.pop()
+        for j, b in enumerate(images[a]):
+            ell = (label[a] * len(images[a]) + j) % n
+            if b not in label:
+                label[b] = ell
+                todo.append(b)
+            elif label[b] != ell:
+                return False
+    return True
 
 
-def height(sub: Substitution, prefix_len: int) -> HeightResult:
-    """Largest divisor of gcd{a > 0 : w_a = w_0} coprime to L, over a prefix."""
+def height(sub: Substitution) -> int:
+    """Dekking's height of x = σ^p(x): the largest n <= c coprime to L with a
+    labelling λ(seed) = 0, λ(σ^p(a)_j) = λ(a)·L^p + j mod n of the letters.
+
+    A labelling puts each letter at positions of one residue mod n, so n divides
+    gcd{m > 0 : x_m = x_0}, and positions 0 .. n-1 hold distinct letters, so n <= c.
+    Conversely, for n coprime to L, a level image of any letter holds the seed
+    (primitivity), so two positions of one letter differ by a multiple of n.
+    """
+    if not is_primitive(sub):
+        raise SubstitutionError("height needs a primitive substitution")
     fp = FixedPointSpec.find(sub)
-    w = prefix(fp, prefix_len)
-    positions = np.flatnonzero(w[1:] == w[0]) + 1
-    if len(positions) == 0:
-        raise SubstitutionError(
-            f"prefix of {prefix_len} letters has no second occurrence of the first letter"
-        )
-    g = 0
-    for pos in positions:
-        g = gcd(g, int(pos))
-        if g == 1:
-            break
-    L = sub.length
-    while (d := gcd(g, L)) > 1:
-        g //= d
-    return HeightResult(g, prefix_len)
+    images = [sub.expand(a, fp.power) for a in range(sub.size)]
+    return next(n for n in range(sub.size, 0, -1)
+                if gcd(n, sub.length) == 1 and _has_labelling(images, fp.seed, n))
 
 
 def substitution_power(sub: Substitution, n: int, cap: int = 1_000_000) -> Substitution:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import ResourceCapError, SubstitutionError
+from .stream import ceil_log
 from .substitution import pair_cover_bound, recurrence_formula
 
 FACTOR_CAP = 2**63
@@ -22,18 +23,6 @@ def _cap_digits(what: str, value: int = 0, log2_floor: int = 0) -> int:
     if value >= _LIMIT or log2_floor >= _LIMIT.bit_length():
         raise ResourceCapError(f"{what} would have more than {MAX_DIGITS} decimal digits")
     return value
-
-
-def ceil_log(base: int, value: int) -> int:
-    """Least k >= 0 with base**k >= value, by integer comparison only."""
-    if base < 2 or value < 1:
-        raise SubstitutionError("ceil_log needs base >= 2 and value >= 1")
-    k = 0
-    power = 1
-    while power < value:
-        power *= base
-        k += 1
-    return k
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

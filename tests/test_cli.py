@@ -42,6 +42,15 @@ def test_analyze_exact_recurrence():
     assert report["recurrence"]["zeta2"] == 8
 
 
+def test_analyze_exact_recurrence_reads_windows_within_the_budget():
+    cp = run_cli("analyze", "--builtin", "tm:5", "--exact-recurrence")
+    assert cp.returncode == 0, cp.stderr
+    rec = json.loads(cp.stdout)["recurrence"]
+    assert (rec["n_exact"], rec["zeta2"], rec["r_exact"]) == (6, 8125, 40625)
+    cp = run_cli("analyze", "--builtin", "tm:9", "--exact-recurrence")
+    assert cp.returncode == 3 and "exact recurrence windows" in cp.stderr
+
+
 def test_analyze_r_formula_over_the_decimal_digit_limit():
     # 2*5^389378-5 has 272,164 digits, past Python's int-to-str limit of 4300
     cp = run_cli("analyze", "--builtin", "vandermonde:5")

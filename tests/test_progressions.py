@@ -39,13 +39,17 @@ from apword.progressions import (
     _certification_basis,
     _certified_window,
     _dense_step,
-    _level,
-    _level_windows,
     _two_word_cover,
-    _two_words,
     palindromic_member,
 )
-from apword.stream import PREFIX_CAP, _cycle_length, letter_index_at
+from apword.stream import (
+    PREFIX_CAP,
+    _cycle_length,
+    _level,
+    _level_windows,
+    _two_words,
+    letter_index_at,
+)
 from apword.substitution import _legal_index_words
 from ap_oracle import max_ap_oracle
 

@@ -1,10 +1,16 @@
+import random
+from math import gcd
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apword.stream
 import apword.substitution
 from apword import (
     Alphabet,
+    FixedPointSpec,
     ParseError,
     ResourceCapError,
     Substitution,
@@ -20,11 +26,51 @@ from apword import (
     min_pair_cover_power,
     parse_substitution,
     power_column,
+    prefix,
     recurrence_constants,
 )
-from apword.substitution import base_digits, star_defect
+from apword.substitution import _legal_index_words, base_digits, star_defect
 
 TM = parse_substitution("0 -> 01 ; 1 -> 10")
+# every builtin whose exact recurrence the prefix scan below fits under 2^26 letters
+SCANNED = ["a4-example", "c3-invpal", "hadamard4", "outlook6", "rs", "s3-noninvpal",
+           "supersub5", "tm:2", "tm:3", "vandermonde:3", "vandermonde:5"]
+
+
+def random_primitive_substitutions(seed: int, count: int):
+    """count seeded random primitive substitutions with 2 <= c, L <= 5."""
+    rng = random.Random(seed)
+    while count:
+        c, L = rng.randint(2, 5), rng.randint(2, 5)
+        rules = tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c))
+        sub = Substitution(Alphabet(tuple("abcde"[:c])), rules)
+        if is_primitive(sub):
+            count -= 1
+            yield sub
+
+
+def height_by_prefix(sub: Substitution, prefix_len: int) -> int:
+    """Reference height: the largest divisor of gcd{m > 0 : x_m = x_0} coprime to L,
+    over the first prefix_len letters of the fixed point."""
+    w = prefix(FixedPointSpec.find(sub), prefix_len)
+    g = int(np.gcd.reduce(np.flatnonzero(w[1:] == w[0]) + 1))
+    while (d := gcd(g, sub.length)) > 1:
+        g //= d
+    return g
+
+
+def zeta2_by_prefix(sub: Substitution, cap: int = 2**26) -> int | None:
+    """Reference zeta_2: the largest gap between consecutive occurrences of a 2-word
+    in a prefix long enough that every return word has occurred; None over cap."""
+    c, L = sub.size, sub.length
+    gap_bound = 2 * L ** min_pair_cover_power(sub) - 1
+    needed = (L * gap_bound + 1) * (gap_bound + 2)
+    if needed > cap:
+        return None
+    w = prefix(FixedPointSpec.find(sub), needed)
+    codes = w[:-1].astype(np.int32) * c + w[1:]
+    return max(int(np.diff(np.flatnonzero(codes == a * c + b)).max())
+               for a, b in _legal_index_words(sub, 2))
 
 
 def subwords(word, n):
@@ -254,10 +300,25 @@ def test_min_pair_cover_power_builds_no_recurrence_constant(monkeypatch):
     assert min_pair_cover_power(TM) == 3
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("no letter may be generated here")
+
+
 def test_recurrence_exact_cap_diagnostic(monkeypatch):
-    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 100)
-    with pytest.raises(ResourceCapError):
+    # level 5, as 2^5 >= 2·2^3 + 1: the windows [0, 4B) and [5B, 7B), B = 32
+    monkeypatch.setattr(apword.substitution, "factor", refuse)
+    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 191)
+    with pytest.raises(ResourceCapError, match="windows hold 192 letters, cap is 191"):
         recurrence_constants(TM)
+    monkeypatch.undo()
+    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 192)
+    assert recurrence_constants(TM).zeta2_exact == 8
+
+
+def test_recurrence_exact_over_the_budget_generates_no_letter(monkeypatch):
+    monkeypatch.setattr(apword.substitution, "factor", refuse)
+    with pytest.raises(ResourceCapError, match="cap is 67108864"):
+        recurrence_constants(get_builtin("tm:9").substitution)
 
 
 def test_base_digits_rejects_inputs_without_digits():
@@ -274,7 +335,7 @@ def test_recurrence_exact_length_one_raises():
 
 
 def test_recurrence_exact_huge_pair_cover_bound():
-    # c = 25 gives n_bound = 389378; the default cap is L**(n_bound + 2), no loop
+    # c = 25 gives n_bound = 389378, which sizes nothing: the windows follow n_exact
     rep = recurrence_constants(get_builtin("vandermonde:5").substitution)
     assert (rep.n_bound, rep.n_exact) == (389378, 4)
     assert rep.r_exact == 5 * rep.zeta2_exact
@@ -293,18 +354,90 @@ def test_star_defect_names_the_first_failed_condition(sub, defect):
 
 def test_aperiodicity():
     assert aperiodicity_certificate(TM).status == "AperiodicByCriterion"
-    res = aperiodicity_certificate(parse_substitution("a -> ab ; b -> ab"),
-                                   detector_prefix=2**12)
+    res = aperiodicity_certificate(parse_substitution("a -> ab ; b -> ab"))
     assert res.status == "PeriodicDetected" and res.period == 2
-    res = aperiodicity_certificate(get_builtin("outlook6").substitution,
-                                   detector_prefix=2**14)
+    res = aperiodicity_certificate(get_builtin("outlook6").substitution)
     assert res.status == "Unknown"
 
 
+def test_aperiodicity_checks_a_period_with_the_power_of_the_fixed_point():
+    # sigma^2 fixes (ab)^inf, yet sigma(ab) = bababa is not (ab)^3
+    sub = parse_substitution("a -> bab ; b -> aba")
+    assert FixedPointSpec.find(sub).power == 2
+    res = aperiodicity_certificate(sub)
+    assert res.status == "PeriodicDetected" and res.period == 2
+
+
 def test_height():
-    assert height(TM, 2**16).value == 1
-    assert height(get_builtin("rs").substitution, 2**16).value == 1
-    with pytest.raises(SubstitutionError):
-        height(TM, 3)  # prefix 011 has no second 0
-    shifted = parse_substitution("a -> ab ; b -> cd ; c -> cd ; d -> ab")
-    assert height(shifted, 2**12).value >= 1
+    for rules, value in [
+        ("0 -> 01 ; 1 -> 10", 1),
+        ("a -> bab ; b -> aba", 2),  # x = (ab)^inf, the fixed point of sigma^2
+        ("a -> ab ; b -> ca ; c -> bc", 3),  # x = (abc)^inf
+        ("a -> abc ; b -> bca ; c -> cab", 1),  # 3 divides L
+        ("a -> ab ; b -> cd ; c -> cd ; d -> ab", 1),
+    ]:
+        sub = parse_substitution(rules)
+        assert height(sub) == value == height_by_prefix(sub, 2**12), rules
+
+
+def test_height_of_builtins():
+    for name in SCANNED:
+        sub = get_builtin(name).substitution
+        assert height(sub) == height_by_prefix(sub, 2**14) == 1, name
+
+
+def test_height_rejects_a_non_primitive_substitution():
+    for rules in ("a -> aa ; b -> bb", "a -> ab ; b -> bb"):
+        with pytest.raises(SubstitutionError, match="primitive"):
+            height(parse_substitution(rules))
+
+
+def test_height_matches_the_prefix_gcd():
+    heights = [(height(sub), height_by_prefix(sub, 2**14))
+               for sub in random_primitive_substitutions(2127, 1000)]
+    assert all(rule == scanned for rule, scanned in heights)
+    assert any(rule > 1 for rule, _ in heights)
+
+
+def test_height_and_recurrence_read_no_prefix(monkeypatch):
+    monkeypatch.setattr(apword.substitution, "prefix", refuse)
+    monkeypatch.setattr(apword.stream, "prefix", refuse)
+    sub = get_builtin("rs").substitution
+    assert height(sub) == 1
+    assert recurrence_constants(sub).zeta2_exact == 20
+
+
+@pytest.mark.parametrize("name", SCANNED)
+def test_recurrence_windows_match_the_prefix_scan(name):
+    sub = get_builtin(name).substitution
+    assert recurrence_constants(sub).zeta2_exact == zeta2_by_prefix(sub)
+
+
+def test_recurrence_windows_match_the_prefix_scan_at_random():
+    compared = 0
+    for sub in random_primitive_substitutions(2664, 300):
+        scanned = zeta2_by_prefix(sub, cap=2**20)
+        if scanned is not None:
+            assert recurrence_constants(sub).zeta2_exact == scanned, sub.rules
+            compared += 1
+    assert compared > 200
+
+
+@pytest.mark.parametrize("rules, zeta2", [
+    # each fails if the windows are read one level lower, or if the window of
+    # the last first occurrence of a 2-word is dropped; no builtin does
+    ("a -> dba ; b -> dac ; c -> add ; d -> acc", 288),
+    ("a -> bbbab ; b -> ababa", 120),
+    ("a -> bbabb ; b -> ababa", 110),
+])
+def test_recurrence_windows_of_the_full_level(rules, zeta2):
+    sub = parse_substitution(rules)
+    assert FixedPointSpec.find(sub).power == 2
+    assert recurrence_constants(sub).zeta2_exact == zeta2 == zeta2_by_prefix(sub)
+
+
+def test_recurrence_past_the_prefix_scan():
+    # the scan would need prefixes of 4,882,843,746 and 52,242,869,371 letters
+    for name, values in (("tm:5", (6, 8125, 40625)), ("supersub6", (6, 24696, 148176))):
+        rep = recurrence_constants(get_builtin(name).substitution)
+        assert (rep.n_exact, rep.zeta2_exact, rep.r_exact) == values

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from apword import ResourceCapError, SubstitutionError, VdwQuery, vdw_lower, vdw_upper
+from apword.stream import ceil_log
 from apword.substitution import recurrence_formula
-from apword.vdw import TRIAL_LIMIT, ceil_growth_exponent, ceil_log, factorize
+from apword.vdw import TRIAL_LIMIT, ceil_growth_exponent, factorize
 
 
 def test_upper_known_values():
