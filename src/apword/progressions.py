@@ -23,7 +23,8 @@ from .groups import (
     palindromicity,
 )
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
-from .stream import Coding, FixedPointSpec, _level, _level_windows, _two_words, check_prefix, factor
+from .stream import (Coding, FixedPointSpec, _level, _level_windows, _two_words, ceil_log,
+                     check_prefix, factor)
 from .substitution import (
     Substitution,
     column,
@@ -370,17 +371,13 @@ def upper_bound(sub: Substitution, d: int) -> int | None:
     L = sub.length
     candidates = []
 
-    M = 1
-    while L**M < d:
-        M += 1
+    M = max(1, ceil_log(L, d))
     ell = gcd(d, L**M)
     if gcd(d, L ** (N + M)) == ell:
         candidates.append(L ** (N + M) // ell)
 
     q = min_prime_power(L)
-    M2 = 1
-    while q**M2 <= d:
-        M2 += 1
+    M2 = ceil_log(q, d + 1)
     ell2 = gcd(d, L**M2)
     if gcd(d, L ** (N + M2)) != ell2:
         raise SubstitutionError("prime-power window failed to stabilize the gcd")

@@ -91,7 +91,7 @@ class FixedPointSpec:
     def find(cls, sub: Substitution, seed: str | int | None = None) -> "FixedPointSpec":
         """Pick a valid (seed, power), preferring power 1 and low letter index."""
         if seed is not None:
-            idx = seed if isinstance(seed, int) else sub.alphabet.index(seed)
+            idx = sub.alphabet.resolve(seed)
             p = _cycle_length(sub, idx)
             if p is None:
                 raise SubstitutionError(

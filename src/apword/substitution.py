@@ -10,7 +10,7 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
-from .stream import FixedPointSpec, _level, _level_windows, base_digits, factor, prefix
+from .stream import FixedPointSpec, _level, _level_windows, base_digits, ceil_log, factor, prefix
 
 MAX_DENSE_ALPHABET = 256  # letters are stored as uint8 in bulk kernels
 _RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
@@ -53,6 +53,14 @@ class Alphabet:
             return _index_map(self.letters)[letter]
         except (KeyError, TypeError):  # unhashable tokens from JSON sources
             raise SubstitutionError(f"unknown letter {letter!r}") from None
+
+    def resolve(self, letter: str | int) -> int:
+        """Index of a letter token, or a letter index checked to be in range."""
+        if not isinstance(letter, int):
+            return self.index(letter)
+        if not 0 <= letter < self.size:
+            raise SubstitutionError(f"letter index {letter} out of range")
+        return letter
 
     def word_str(self, indices) -> str:
         """Render a word of letter indices; single-char alphabets join bare."""
@@ -301,12 +309,9 @@ def _legal_index_words(sub: Substitution, n: int) -> frozenset[tuple[int, ...]]:
     def subwords(word):
         return {tuple(word[i:i + n]) for i in range(len(word) - n + 1)}
 
-    m0 = 0
-    while L**m0 < n:
-        m0 += 1
     words: set[tuple[int, ...]] = set()
     for a in range(sub.size):
-        words |= subwords(sub.expand(a, m0))
+        words |= subwords(sub.expand(a, ceil_log(L, n)))
     while True:
         new = set(words)
         for w in words:
@@ -448,20 +453,6 @@ class AperiodicityResult:
     detail: str = ""
 
 
-def _min_period(seq) -> int:
-    """Smallest p with seq[i] == seq[i-p] for all i >= p (border-based)."""
-    n = len(seq)
-    border = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and seq[i] != seq[k]:
-            k = border[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        border[i] = k
-    return n - border[-1]
-
-
 def _two_words_share_an_end(sub: Substitution) -> bool:
     """Two legal 2-words share a first or a last letter: the aperiodicity
     criterion for primitive bijective substitutions."""
@@ -487,8 +478,20 @@ def star_defect(sub: Substitution) -> str | None:
 
 
 def aperiodicity_certificate(sub: Substitution) -> AperiodicityResult:
-    """Certify aperiodicity for primitive bijective substitutions, else try to
-    detect a periodic fixed point on a prefix."""
+    """Certify aperiodicity for primitive bijective substitutions, else detect a
+    period of at most n/2 of the fixed point x = σ^q(x) from w = x[0, n), n = 2^20.
+
+    p is the first return of the half-prefix w[:n/2] in w, so p <= n/2 and
+    w[:p + n/2] has period p.
+    - If x has least period P <= n/2, then p <= P, and w[:p + n/2] has periods
+      p and P. As P - gcd(p, P) <= n/2, Fine and Wilf's lemma gives it period
+      gcd(p, P). It holds x[0, P), so x has period gcd(p, P), and p = P. The
+      check below passes, as σ^q(x[0, P)) = x[0, P·L^q).
+    - The check σ^q(w[:p]) = w[:p]^(L^q) makes each σ^(qm)(w[:p]), a prefix of
+      x, equal to w[:p]^(L^(qm)), so it passes only if x has period p.
+    So the answer is PeriodicDetected(P) exactly when x has a period of at most
+    n/2, P the least one, and Unknown otherwise.
+    """
     if is_primitive(sub) and is_bijective(sub) and _two_words_share_an_end(sub):
         return AperiodicityResult(
             "AperiodicByCriterion",
@@ -497,9 +500,9 @@ def aperiodicity_certificate(sub: Substitution) -> AperiodicityResult:
 
     fp = FixedPointSpec.find(sub)
     w = bytes(prefix(fp, _DETECTOR_PREFIX))
-    p = _min_period(w)
-    if p <= _DETECTOR_PREFIX // 2:
-        block = list(w[:p])  # x = block^∞ iff σ^p(block) = block^(L^p), p = fp.power
+    p = w.find(w[:_DETECTOR_PREFIX // 2], 1)
+    if p != -1:
+        block = list(w[:p])
         if substitution_power(sub, fp.power).apply(block) == block * sub.length**fp.power:
             return AperiodicityResult("PeriodicDetected", period=p)
     return AperiodicityResult("Unknown")

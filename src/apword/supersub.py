@@ -88,11 +88,8 @@ def lift_column_family(sub: Substitution, coding: Coding, positions,
     at the first multiple violating either condition, and every returned
     position is re-checked against the actual fixed point.
     """
-    target = target_letter if isinstance(target_letter, int) \
-        else sub.alphabet.index(target_letter)
+    target = sub.alphabet.resolve(target_letter)
     xi = _quotient(sub, coding)
-    if not 0 <= target < sub.size:
-        raise SubstitutionError(f"letter index {target} out of range")
     symbol = coding.table[target]
     positions = sorted(set(positions))
     for c in positions:
@@ -136,11 +133,7 @@ def induced_partition(sub: Substitution, pairs) -> Coding:
             x = parent[x]
         return x
 
-    queue = []
-    for a, b in pairs:
-        ia = a if isinstance(a, int) else sub.alphabet.index(a)
-        ib = b if isinstance(b, int) else sub.alphabet.index(b)
-        queue.append((ia, ib))
+    queue = [(sub.alphabet.resolve(a), sub.alphabet.resolve(b)) for a, b in pairs]
     while queue:
         x, y = queue.pop()
         rx, ry = find(x), find(y)

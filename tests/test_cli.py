@@ -51,6 +51,14 @@ def test_analyze_exact_recurrence_reads_windows_within_the_budget():
     assert cp.returncode == 3 and "exact recurrence windows" in cp.stderr
 
 
+def test_analyze_reports_the_detected_period():
+    cp = run_cli("analyze", "--rules", "a -> ab ; b -> ca ; c -> bc")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["aperiodicity"] == {"status": "PeriodicDetected", "period": 3}
+    cp = run_cli("analyze", "--builtin", "rs")
+    assert json.loads(cp.stdout)["aperiodicity"] == {"status": "Unknown", "period": None}
+
+
 def test_analyze_r_formula_over_the_decimal_digit_limit():
     # 2*5^389378-5 has 272,164 digits, past Python's int-to-str limit of 4300
     cp = run_cli("analyze", "--builtin", "vandermonde:5")

@@ -139,6 +139,11 @@ def test_seed_validation():
         FixedPointSpec(sub, 1, 1)  # rho(b) starts with a, not b
     fp = FixedPointSpec.find(sub, "a")
     assert fp.power == 1
+    sub = parse_substitution("a -> ab ; b -> ca ; c -> bc")
+    assert FixedPointSpec.find(sub, 2) == FixedPointSpec.find(sub, "c") == FixedPointSpec(sub, 2, 2)
+    for seed in (3, 5, -1):  # -1 once named the letter 'c', 5 raised an IndexError
+        with pytest.raises(SubstitutionError, match=f"letter index {seed} out of range"):
+            FixedPointSpec.find(sub, seed)
 
 
 def test_prefix_resource_cap():

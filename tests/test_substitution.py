@@ -29,7 +29,14 @@ from apword import (
     prefix,
     recurrence_constants,
 )
-from apword.substitution import _legal_index_words, base_digits, star_defect
+from apword.substitution import (
+    _legal_index_words,
+    _two_words_share_an_end,
+    base_digits,
+    is_bijective,
+    star_defect,
+    substitution_power,
+)
 
 TM = parse_substitution("0 -> 01 ; 1 -> 10")
 # every builtin whose exact recurrence the prefix scan below fits under 2^26 letters
@@ -71,6 +78,36 @@ def zeta2_by_prefix(sub: Substitution, cap: int = 2**26) -> int | None:
     codes = w[:-1].astype(np.int32) * c + w[1:]
     return max(int(np.diff(np.flatnonzero(codes == a * c + b)).max())
                for a, b in _legal_index_words(sub, 2))
+
+
+def min_period_by_borders(seq) -> int:
+    """Reference least period: smallest p with seq[i] == seq[i-p] for all i >= p,
+    by the border (failure function) loop."""
+    n = len(seq)
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and seq[i] != seq[k]:
+            k = border[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        border[i] = k
+    return n - border[-1]
+
+
+def certificate_by_borders(sub: Substitution, n: int = 2**20) -> tuple[str, int | None]:
+    """Reference (status, period): the least period P of x[0, n) by the border loop,
+    accepted when P <= n/2 and sigma^q maps x[0, P) to L^q copies of itself."""
+    if is_primitive(sub) and is_bijective(sub) and _two_words_share_an_end(sub):
+        return "AperiodicByCriterion", None
+    fp = FixedPointSpec.find(sub)
+    w = prefix(fp, n).tolist()
+    p = min_period_by_borders(w)
+    block = w[:p]
+    if p <= n // 2 and \
+            substitution_power(sub, fp.power).apply(block) == block * sub.length**fp.power:
+        return "PeriodicDetected", p
+    return "Unknown", None
 
 
 def subwords(word, n):
@@ -366,6 +403,55 @@ def test_aperiodicity_checks_a_period_with_the_power_of_the_fixed_point():
     assert FixedPointSpec.find(sub).power == 2
     res = aperiodicity_certificate(sub)
     assert res.status == "PeriodicDetected" and res.period == 2
+
+
+def nested_returns(e: int) -> Substitution:
+    """x_k -> x_min(k+1, e-1) x_0; the fixed point from x_(e-1) has least period 2^(e-2)."""
+    return Substitution(Alphabet(tuple(f"x{k}" for k in range(e))),
+                        tuple((min(k + 1, e - 1), 0) for k in range(e)))
+
+
+@pytest.mark.parametrize("name", SCANNED + ["supersub6", "tm:5", "tm:9"])
+def test_aperiodicity_of_builtins_matches_the_border_loop(name):
+    sub = get_builtin(name).substitution
+    res = aperiodicity_certificate(sub)
+    assert res.status != "PeriodicDetected"
+    assert (res.status, res.period) == certificate_by_borders(sub)
+
+
+@pytest.mark.parametrize("sub, status, period", [
+    (parse_substitution("a -> ab ; b -> ab"), "PeriodicDetected", 2),
+    (parse_substitution("a -> bab ; b -> aba"), "PeriodicDetected", 2),
+    (parse_substitution("a -> ab ; b -> ca ; c -> bc"), "PeriodicDetected", 3),
+    (parse_substitution("a -> ab ; b -> ac ; c -> ac"), "PeriodicDetected", 4),
+    (parse_substitution("a -> aab ; b -> aab"), "PeriodicDetected", 3),
+    (nested_returns(19), "PeriodicDetected", 2**18),
+    (nested_returns(20), "PeriodicDetected", 2**19),  # n/2: the half-prefix returns at its end
+    (nested_returns(21), "Unknown", None),  # period 2^20 = n
+    # x[0, 2^20) has period 1100 and x does not: the first return is refused by the check
+    (parse_substitution(f"a -> {'a' * 1099}b ; b -> {'a' * 1099}c ; c -> {'a' * 1100}"),
+     "Unknown", None),
+], ids=["ab-ab", "bab-aba", "abc", "period-4", "aab", "e19", "e20", "e21", "a1099"])
+def test_aperiodicity_matches_the_border_loop(sub, status, period):
+    res = aperiodicity_certificate(sub)
+    assert (res.status, res.period) == (status, period) == certificate_by_borders(sub)
+
+
+@pytest.mark.parametrize("n", [64, 2**12])
+def test_aperiodicity_matches_the_border_loop_at_random(monkeypatch, n):
+    # the first return equals the border loop's answer at every even prefix
+    # length; a short one makes prefix periods that x lacks common
+    monkeypatch.setattr(apword.substitution, "_DETECTOR_PREFIX", n)
+    rng = random.Random(536)
+    statuses = []
+    for _ in range(600):
+        c, L = rng.randint(1, 4), rng.randint(2, 4)
+        sub = Substitution(Alphabet(tuple("abcd"[:c])),
+                           tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c)))
+        res = aperiodicity_certificate(sub)
+        assert (res.status, res.period) == certificate_by_borders(sub, n), sub.rules
+        statuses.append(res.status)
+    assert statuses.count("PeriodicDetected") > 200 and statuses.count("Unknown") > 300
 
 
 def test_height():

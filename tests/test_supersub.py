@@ -168,6 +168,19 @@ def test_induced_partition_tooling():
     part5 = induced_partition(b5.substitution, [("b", "c")])
     assert part5 == Coding((0, 1, 1, 2, 3), ("1", "2", "3", "4"))
     assert check_partition(b5.substitution, part5).ok
+    sub = parse_substitution("a -> ab ; b -> ca ; c -> bc")
+    assert induced_partition(sub, [(0, 2)]) == induced_partition(sub, [("a", "c")])
+    for pairs in ([(0, -1)], [(0, 7)], [(3, "a")]):  # (0, -1) once merged a with c
+        with pytest.raises(SubstitutionError, match="out of range"):
+            induced_partition(sub, pairs)
+
+
+def test_lifts_check_the_seed_index():
+    b, part = blocks("supersub6")
+    with pytest.raises(SubstitutionError, match="letter index 6 out of range"):
+        lift_identity_family(b.substitution, part, [1], seed=6)
+    with pytest.raises(SubstitutionError, match="letter index -1 out of range"):
+        lift_column_family(b.substitution, part, b.column_positions, "a", 129, seed=-1)
 
 
 def test_graph_of_sets_outlook6():
