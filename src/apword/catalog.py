@@ -14,8 +14,8 @@ from .spin import (
     spin_coding,
     vandermonde,
 )
-from .stream import Coding, FixedPointSpec
-from .substitution import Substitution, parse_substitution
+from .stream import MAX_DENSE_ALPHABET, Coding, FixedPointSpec
+from .substitution import Alphabet, Substitution, parse_substitution
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,10 @@ class Builtin:
 
 def cyclic_shift_substitution(L: int) -> Substitution:
     """Columns a -> a + i mod L on the digit alphabet of size L."""
-    if L < 2:
-        raise SubstitutionError("cyclic shift substitutions need L >= 2")
-    letters = tuple(str(i) for i in range(L))
-    rules = tuple(tuple((a + i) % L for i in range(L)) for a in range(L))
-    return Substitution.from_words(letters, {
-        letters[a]: [letters[x] for x in rules[a]] for a in range(L)
-    })
+    if not 2 <= L <= MAX_DENSE_ALPHABET:
+        raise SubstitutionError(f"cyclic shift substitutions need 2 <= L <= {MAX_DENSE_ALPHABET}")
+    return Substitution(Alphabet(tuple(str(i) for i in range(L))),
+                        tuple(tuple((a + i) % L for i in range(L)) for a in range(L)))
 
 
 def _spin_builtin(name: str, description: str, sys: SpinSystem) -> Builtin:
@@ -143,7 +140,5 @@ def get_builtin(name: str) -> Builtin:
             return Builtin(name, f"cyclic shift substitution on {L} letters",
                            cyclic_shift_substitution(L), "0")
         if head == "vandermonde":
-            if L == 2:
-                return _spin_builtin(name, "Vandermonde spin system (L=2)", rudin_shapiro())
             return _spin_builtin(name, f"Vandermonde spin system (L={L})", vandermonde(L))
     raise SubstitutionError(f"unknown builtin {name!r}; known: {', '.join(builtin_names())}")

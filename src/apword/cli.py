@@ -27,8 +27,10 @@ from .substitution import (
     columns,
     is_bijective,
     is_primitive,
+    json_substitution,
     min_pair_cover_power,
     parse_substitution,
+    read_json,
     recurrence_constants,
     recurrence_formula,
 )
@@ -71,20 +73,22 @@ def _load_target(args):
             source = fh.read()
     else:
         source = args.rules
-    if source.lstrip().startswith("{") and "matrix" in json.loads(source):
-        sys_ = spin_system_from_json(json.loads(source))
+    data = read_json(source) if source.lstrip().startswith("{") else None
+    if data is not None and "matrix" in dict(data):
+        sys_ = spin_system_from_json(dict(data))
         sub = build_spin_substitution(sys_)
         return Builtin("user-spin", "user spin system", sub,
                        sub.alphabet.letters[0], spin=sys_)
-    sub = parse_substitution(source)
+    sub = parse_substitution(source) if data is None else json_substitution(data)
     return Builtin("user", "user substitution", sub, sub.alphabet.letters[0])
 
 
 def _coding_for(builtin, name):
-    if name and os.path.exists(name):
-        with open(name, encoding="utf-8") as fh:
-            return Coding.from_map(builtin.substitution, json.load(fh))
-    return builtin.coding(name)
+    """`none` and the builtin's coding names first, then a JSON coding file."""
+    if name in (None, "none") or name in builtin.codings() or not os.path.exists(name):
+        return builtin.coding(name)
+    with open(name, encoding="utf-8") as fh:
+        return Coding.from_map(builtin.substitution, json.load(fh))
 
 
 def _resolve_out(path: str | None) -> str | None:

@@ -4,15 +4,9 @@
 class ParseError(ValueError):
     """Malformed substitution source text."""
 
-    def __init__(self, message, line=None, clause=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line})"
-        elif clause is not None:
-            loc = f" (clause {clause})"
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.clause = clause
 
 
 class SubstitutionError(ValueError):

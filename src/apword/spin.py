@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SubstitutionError
-from .stream import Coding, FixedPointSpec, base_digits, prefix
+from .stream import MAX_DENSE_ALPHABET, Coding, FixedPointSpec, base_digits, prefix
 from .substitution import Alphabet, Substitution
 
 
@@ -78,12 +78,12 @@ def build_spin_substitution(sys: SpinSystem) -> Substitution:
     """Length-D substitution on digit/spin pairs: position i of the image of
     (b, s) carries digit i and spin matrix[i][b] + s."""
     D, m = sys.digits, sys.modulus
+    if D * m > MAX_DENSE_ALPHABET:
+        raise SubstitutionError(f"spin system of {D}*{m} letters, more than {MAX_DENSE_ALPHABET}")
     letters = tuple(sys.letter_name(d, e) for d in range(D) for e in range(m))
-    rules = []
-    for b in range(D):
-        for s in range(m):
-            rules.append(tuple(_letter(sys, i, (sys.matrix[i][b] + s) % m) for i in range(D)))
-    return Substitution(Alphabet(letters), tuple(rules))
+    rules = tuple(tuple(_letter(sys, i, (sys.matrix[i][b] + s) % m) for i in range(D))
+                  for b in range(D) for s in range(m))
+    return Substitution(Alphabet(letters), rules)
 
 
 def spin_coding(sys: SpinSystem) -> Coding:

@@ -16,6 +16,19 @@ if TYPE_CHECKING:
     from .substitution import Substitution
 
 PREFIX_CAP = 2**30
+MAX_DENSE_ALPHABET = 256  # letters and coding symbols are uint8 indices in bulk arrays
+
+
+def check_tokens(tokens: tuple, kind: str) -> None:
+    """The rule for letters and coding symbols: at most MAX_DENSE_ALPHABET distinct,
+    non-empty strings without whitespace."""
+    if len(tokens) > MAX_DENSE_ALPHABET:
+        raise SubstitutionError(f"{len(tokens)} {kind}s, more than {MAX_DENSE_ALPHABET}")
+    for token in tokens:
+        if not isinstance(token, str) or not token or any(ch.isspace() for ch in token):
+            raise SubstitutionError(f"bad {kind} {token!r}")
+    if len(set(tokens)) != len(tokens):
+        raise SubstitutionError(f"duplicate {kind}s in {tokens}")
 
 
 def base_digits(k: int, base: int) -> list[int]:
@@ -137,11 +150,7 @@ class Coding:
     def __post_init__(self):
         if any(not 0 <= t < len(self.names) for t in self.table):
             raise SubstitutionError("coding table points outside its output alphabet")
-        for name in self.names:  # the rule Alphabet applies to letters
-            if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
-                raise SubstitutionError(f"bad coding symbol {name!r}")
-        if len(set(self.names)) != len(self.names):
-            raise SubstitutionError(f"duplicate coding symbols in {self.names}")
+        check_tokens(self.names, "coding symbol")
 
     @property
     def is_injective(self) -> bool:

@@ -10,9 +10,9 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
-from .stream import FixedPointSpec, _level, _level_windows, base_digits, ceil_log, factor, prefix
+from .stream import (FixedPointSpec, _level, _level_windows, base_digits, ceil_log,
+                     check_tokens, factor, prefix)
 
-MAX_DENSE_ALPHABET = 256  # letters are stored as uint8 in bulk kernels
 _RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
 _DETECTOR_PREFIX = 2**20  # letters the periodicity detector reads
 
@@ -36,13 +36,7 @@ class Alphabet:
     def __post_init__(self):
         if not self.letters:
             raise SubstitutionError("alphabet must not be empty")
-        if len(set(self.letters)) != len(self.letters):
-            raise SubstitutionError("alphabet has duplicate letters")
-        if len(self.letters) > MAX_DENSE_ALPHABET:
-            raise SubstitutionError(f"alphabet larger than {MAX_DENSE_ALPHABET} letters")
-        for token in self.letters:
-            if not token or any(ch.isspace() for ch in token):
-                raise SubstitutionError(f"bad letter token {token!r}")
+        check_tokens(self.letters, "letter")
 
     @property
     def size(self) -> int:
@@ -51,7 +45,7 @@ class Alphabet:
     def index(self, letter: str) -> int:
         try:
             return _index_map(self.letters)[letter]
-        except (KeyError, TypeError):  # unhashable tokens from JSON sources
+        except (KeyError, TypeError):  # an unhashable token is no letter either
             raise SubstitutionError(f"unknown letter {letter!r}") from None
 
     def resolve(self, letter: str | int) -> int:
@@ -124,17 +118,6 @@ class Substitution:
     def length(self) -> int:
         return len(self.rules[0])
 
-    @classmethod
-    def from_words(cls, letters, words) -> "Substitution":
-        """Build from an ordered letter list and a mapping letter -> word tokens."""
-        alphabet = Alphabet(tuple(letters))
-        rules = []
-        for letter in alphabet.letters:
-            if letter not in words:
-                raise SubstitutionError(f"missing rule for letter {letter!r}")
-            rules.append(tuple(alphabet.index(tok) for tok in words[letter]))
-        return cls(alphabet, tuple(rules))
-
     def word(self, a: int) -> str:
         return self.alphabet.word_str(self.rules[a])
 
@@ -155,28 +138,77 @@ class Substitution:
 
 
 def _tokenize_rule_word(text: str) -> list[str]:
-    text = text.strip()
-    if any(ch.isspace() for ch in text):
-        return text.split()
-    return list(text)
+    tokens = text.split()
+    return list(tokens[0]) if len(tokens) == 1 else tokens
 
 
-def _parse_json_substitution(source: str) -> Substitution:
+def _build(header: list[str] | None, entries: list) -> Substitution:
+    """The checks of every source, on its @alphabet header and its (letter, word tokens,
+    line) rules; the letters are those of the header, else those of the rules in order."""
+    if not entries:
+        raise ParseError("no rules found")
+    words: dict[str, list[str]] = {}
+    for letter, tokens, lineno in entries:
+        if not letter or any(ch.isspace() for ch in letter):
+            raise ParseError(f"bad letter {letter!r} on rule left-hand side", line=lineno)
+        if not tokens:
+            raise ParseError(f"empty rule word for {letter!r}", line=lineno)
+        if letter in words:
+            raise ParseError(f"duplicate rule for letter {letter!r}", line=lineno)
+        words[letter] = tokens
+
+    letters = header if header is not None else list(words)
+    known = set(letters)
+    for letter, tokens, lineno in entries:
+        if letter not in known:
+            raise ParseError(f"rule for letter {letter!r} not in @alphabet header", line=lineno)
+        for tok in tokens:
+            if tok not in known:  # with no header, the letters are those with a rule
+                raise ParseError(f"missing rule for letter {tok!r}" if header is None else
+                                 f"unknown letter {tok!r} in rule for {letter!r}", line=lineno)
+    for letter in letters:
+        if letter not in words:
+            raise ParseError(f"missing rule for letter {letter!r}")
+
+    lengths = {len(tokens) for tokens in words.values()}
+    if len(lengths) != 1:
+        raise ParseError(f"unequal rule lengths: {sorted(lengths)}")
     try:
-        data = json.loads(source)
+        alphabet = Alphabet(tuple(letters))
+    except SubstitutionError as exc:
+        raise ParseError(str(exc)) from None
+    index = _index_map(alphabet.letters)
+    return Substitution(alphabet, tuple(tuple(index[t] for t in words[a]) for a in letters))
+
+
+def read_json(source: str) -> tuple:
+    """Decode a JSON source, each object as a tuple of (key, value) pairs: repeats stay."""
+    try:
+        return json.loads(source, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON substitution: {exc}") from None
-    if not isinstance(data, dict) or "rules" not in data:
-        raise ParseError("JSON substitution needs an object with a 'rules' field")
-    rules, letters = data["rules"], data.get("alphabet") or []
-    if not isinstance(rules, dict) or not isinstance(letters, list) \
-            or not all(isinstance(x, str) for x in letters):
+        raise ParseError(f"bad JSON source: {exc}") from None
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def json_substitution(data: tuple) -> Substitution:
+    """A JSON mirror {"alphabet": [...], "rules": {...}} under the text checks: `alphabet`
+    is the @alphabet header (the sorted rule letters when missing or empty), and a rule
+    word is a string, split as in text, or a list of letter tokens."""
+    fields = dict(data)
+    rules, header = fields.get("rules"), fields.get("alphabet") or None
+    if not isinstance(rules, tuple) or not (header is None or _strings(header)):
         raise ParseError("JSON substitution needs a 'rules' object and an 'alphabet' string list")
-    letters = letters or sorted(rules)
-    words = {}
-    for letter, word in rules.items():
-        words[letter] = list(word) if isinstance(word, list) else _tokenize_rule_word(str(word))
-    return Substitution.from_words(letters, words)
+    entries = []
+    for letter, word in rules:
+        if isinstance(word, str):
+            word = _tokenize_rule_word(word)
+        elif not _strings(word):
+            raise ParseError(f"rule word for {letter!r} is not a string or a list of strings")
+        entries.append((letter, word, None))
+    return _build(header or sorted({letter for letter, _ in rules}), entries)
 
 
 def parse_substitution(source: str) -> Substitution:
@@ -184,13 +216,13 @@ def parse_substitution(source: str) -> Substitution:
 
     '#' starts a comment, '@alphabet a b c' fixes letter order. A rule word is
     split on whitespace when it contains any, else into single characters.
-    A JSON object {"alphabet": [...], "rules": {...}} is accepted as well.
+    A JSON mirror is accepted as well (json_substitution).
     """
     if source.lstrip().startswith("{"):
-        return _parse_json_substitution(source)
+        return json_substitution(read_json(source))
 
     header: list[str] | None = None
-    entries: list[tuple[str, list[str], int]] = []  # letter, word tokens, line no
+    entries = []
     for lineno, raw in enumerate(source.splitlines() or [source], start=1):
         line = raw.split("#", 1)[0]
         for clause in line.split(";"):
@@ -205,43 +237,8 @@ def parse_substitution(source: str) -> Substitution:
             if "->" not in clause:
                 raise ParseError(f"expected 'letter -> word', got {clause!r}", line=lineno)
             lhs, rhs = clause.split("->", 1)
-            letter = lhs.strip()
-            if not letter or any(ch.isspace() for ch in letter):
-                raise ParseError(f"bad letter {lhs.strip()!r} on rule left-hand side", line=lineno)
-            tokens = _tokenize_rule_word(rhs)
-            if not tokens:
-                raise ParseError(f"empty rule word for {letter!r}", line=lineno)
-            entries.append((letter, tokens, lineno))
-
-    if not entries:
-        raise ParseError("no rules found")
-
-    words: dict[str, list[str]] = {}
-    order: list[str] = []
-    for letter, tokens, lineno in entries:
-        if letter in words:
-            raise ParseError(f"duplicate rule for letter {letter!r}", line=lineno)
-        words[letter] = tokens
-        order.append(letter)
-
-    letters = header if header is not None else order
-    known = set(letters)
-    for letter, tokens, lineno in entries:
-        if letter not in known:
-            raise ParseError(f"rule for letter {letter!r} not in @alphabet header", line=lineno)
-        for tok in tokens:
-            if tok not in known:
-                if header is None and tok not in words:
-                    raise ParseError(f"missing rule for letter {tok!r}", line=lineno)
-                raise ParseError(f"unknown letter {tok!r} in rule for {letter!r}", line=lineno)
-    for letter in letters:
-        if letter not in words:
-            raise ParseError(f"missing rule for letter {letter!r}")
-
-    lengths = {len(tokens) for tokens in words.values()}
-    if len(lengths) != 1:
-        raise ParseError(f"unequal rule lengths: {sorted(lengths)}")
-    return Substitution.from_words(letters, words)
+            entries.append((lhs.strip(), _tokenize_rule_word(rhs), lineno))
+    return _build(header, entries)
 
 
 def column(sub: Substitution, i: int) -> ColumnMap:

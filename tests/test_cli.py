@@ -12,11 +12,11 @@ from apword import PrefixSource, get_builtin, max_ap_in_prefix, prefix
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args: str, **env_extra) -> subprocess.CompletedProcess:
+def run_cli(*args: str, cwd=None, **env_extra) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
                **env_extra)
     cmd = [sys.executable, "-m", "apword", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def test_analyze_tm3():
@@ -91,6 +91,8 @@ SPIN = '"matrix": [[0, 0], [0, 1]], "modulus": 2'
     '{"rules": {"a": "a"}, "alphabet": 5}',
     '{"rules": {"a": "ab", "b": "ba"}, "alphabet": [["a"], "b"]}',
     '{"rules": {"a": [["a"], "b"], "b": "ba"}}',
+    '{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "ba", "c": "cc"}}',  # c was dropped
+    '{"rules": {"a": "ab", "b": "ba", "a": "aa"}}',  # the last rule for a won
     "{" + SPIN + ', "digits": "x"}',
     "{" + SPIN + ', "digits": [2]}',
 ])
@@ -98,6 +100,32 @@ def test_malformed_json_source_exit_1(source):
     cp = run_cli("analyze", "--rules", source)
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
+
+
+def test_oversized_builtin_exit_1_at_once():
+    # vandermonde:300 built 300^3 rule entries, about 8 s, before the 256-letter check
+    start = time.perf_counter()
+    cp = run_cli("analyze", "--builtin", "vandermonde:300")
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr == "error: spin system of 300*300 letters, more than 256\n"
+    assert time.perf_counter() - start < 5
+
+
+def test_coding_names_come_before_files_in_the_cwd(tmp_path: Path):
+    argv = ("apscan", "--builtin", "rs", "--coding", "spin", "--range", "65:80")
+    clean = run_cli(*argv, cwd=tmp_path)
+    (tmp_path / "spin").write_text("not a coding")
+    shadowed = run_cli(*argv, cwd=tmp_path)
+    assert shadowed.returncode == clean.returncode == 0, shadowed.stderr
+    assert shadowed.stdout == clean.stdout
+    # a name the builtin lacks is read as a JSON coding file when one exists, else refused
+    (tmp_path / "spin").write_text(json.dumps({"0": "x", "1": "y"}))
+    cp = run_cli("prefix", "--builtin", "tm:2", "--coding", "spin", "--length", "4", cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "x y y x"
+    cp = run_cli("prefix", "--builtin", "tm:2", "--coding", "digit", "--length", "4",
+                 cwd=tmp_path)
+    assert (cp.returncode, cp.stderr) == (1, "error: builtin 'tm:2' has no coding 'digit'\n")
 
 
 @pytest.mark.parametrize("flag,bad", [

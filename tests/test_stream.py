@@ -107,6 +107,18 @@ def test_coding_symbols_are_whitespace_free_tokens(bad):
         Coding((0, 1), ("x", bad))
 
 
+def test_coding_has_at_most_256_symbols():
+    names = tuple(f"s{i}" for i in range(257))
+    with pytest.raises(SubstitutionError, match="257 coding symbols, more than 256"):
+        Coding((0, 256), names)
+    # an index past 255 once built, then broke the uint8 table on the first prefix
+    with pytest.raises(SubstitutionError, match="more than 256"):
+        Coding((0, 300), tuple(str(i) for i in range(301)))
+    fp = get_builtin("tm:2").fixed_point()
+    wide = Coding((0, 255), names[:256])
+    assert prefix(fp, 8, wide).tolist() == [0, 255, 255, 0, 255, 0, 0, 255]
+
+
 def test_coding_symbols_are_distinct():
     # two output indices printed alike would make the text form lie about is_injective
     with pytest.raises(SubstitutionError, match="duplicate coding symbols"):
@@ -236,8 +248,8 @@ def test_block_prefix_single_level_table_for_long_rules():
     L = 300
     rng = random.Random(300)
     letters = ("a", "b", "c")
-    sub = Substitution.from_words(letters, {
-        a: [a] + [rng.choice(letters) for _ in range(L - 1)] for a in letters})
+    sub = parse_substitution(" ; ".join(
+        a + " -> " + a + "".join(rng.choice(letters) for _ in range(L - 1)) for a in letters))
     assert _block_table(sub)[1].shape == (3, L)
     collapse = Coding.from_map(sub, {"a": "0", "b": "1", "c": "1"})
     for seed in letters:

@@ -1,4 +1,7 @@
+import json
 import random
+import re
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -15,7 +18,9 @@ from apword import (
     ResourceCapError,
     Substitution,
     SubstitutionError,
+    SpinSystem,
     aperiodicity_certificate,
+    build_spin_substitution,
     column,
     columns,
     get_builtin,
@@ -29,6 +34,7 @@ from apword import (
     prefix,
     recurrence_constants,
 )
+from apword.spin import spin_system_from_json
 from apword.substitution import (
     _legal_index_words,
     _two_words_share_an_end,
@@ -148,11 +154,65 @@ def test_parse_comments_newlines_header():
     ("0 = 01", "expected 'letter -> word'"),
     ("@alphabet 0\n0 -> 01\n1 -> 10", "unknown letter '1'"),
     ("@alphabet 0 1 2\n0 -> 01\n1 -> 10", "missing rule for letter '2'"),
+    ("@alphabet a a b\na -> ab\nb -> ba", "duplicate letters in ('a', 'a', 'b')"),
+    # JSON mirrors read without an error, or with another one, before they got the text checks
+    ('{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "ba", "c": "cc"}}',
+     "rule for letter 'c' not in @alphabet header"),
+    ('{"rules": {"a": "ab", "b": "ba", "a": "aa"}}', "duplicate rule for letter 'a'"),
+    ('{"rules": {"a": "ab", "b": null}}', "rule word for 'b' is not a string or a list of strings"),
+    ('{"rules": {}}', "no rules found"),
+    ('{"rules": {"a": "ab", "b": "bx"}}', "unknown letter 'x' in rule for 'b'"),
+    ('{"rules": {"a": "ab", "b": ""}}', "empty rule word for 'b'"),
+    ('{"rules": {"a b": "ab"}}', "bad letter 'a b' on rule left-hand side"),
+    ('{"rules": {"a": "ab", "b": "ba"}, "alphabet": ["a", "a", "b"]}',
+     "duplicate letters in ('a', 'a', 'b')"),
+    ('{"rules": {"a": "ab"', "bad JSON source: "),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError) as err:
         parse_substitution(source)
     assert fragment in str(err.value)
+
+
+def test_alphabet_has_at_most_256_letters():
+    letters = tuple(f"x{i}" for i in range(257))
+    with pytest.raises(SubstitutionError, match="257 letters, more than 256"):
+        Alphabet(letters)
+    assert Alphabet(letters[:256]).size == 256
+    for bad in ("", "a b", None):
+        with pytest.raises(SubstitutionError, match="bad letter"):
+            Alphabet(("a", bad))
+
+
+def _traced_peak(make) -> int:
+    """Peak traced bytes while make() raises a SubstitutionError naming the 256 limit."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SubstitutionError, match="256"):
+            make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: get_builtin("tm:1000"),
+    lambda: get_builtin("vandermonde:100"),
+    lambda: build_spin_substitution(spin_system_from_json(
+        {"modulus": 100000, "matrix": [[0, 0], [0, 1]]})),
+    lambda: get_builtin("tm:257"),
+    lambda: get_builtin("vandermonde:17"),
+    lambda: build_spin_substitution(SpinSystem(129, ((0, 0), (0, 1)))),
+], ids=["tm:1000", "vandermonde:100", "modulus:100000", "tm:257", "vandermonde:17", "2*129"])
+def test_oversized_builtins_raise_before_building(make):
+    # the alphabet and its rules (L^2, L^3 or D*m*D entries) were built before the check
+    assert _traced_peak(make) < 2**20
+
+
+def test_builtins_at_the_letter_limit_still_build():
+    assert get_builtin("tm:256").substitution.size == 256
+    assert get_builtin("vandermonde:16").substitution.size == 256
+    assert build_spin_substitution(SpinSystem(128, ((0, 0), (0, 1)))).size == 256
 
 
 def test_parse_error_reports_line():
@@ -216,6 +276,94 @@ def test_power_column_matches_expand_property(sub, data):
     words = [sub.expand(a, n) for a in range(sub.size)]
     for k in range(sub.length**n):
         assert power_column(sub, k, n).image == tuple(w[k] for w in words), (k, n)
+
+
+def text_form(header, rules) -> str:
+    """Rule text with an @alphabet header (when given), one 'letter -> word' per line."""
+    head = [f"@alphabet {' '.join(header)}"] if header else []
+    return "\n".join(head + [f"{a} -> {' '.join(w)}" for a, w in rules])
+
+
+def json_form(header, rules, as_string) -> str:
+    """The JSON mirror, written by hand so that a repeated rule key survives; each word
+    is a list of tokens or, where as_string says so, their space-joined string."""
+    words = (" ".join(w) if string else w for (_, w), string in zip(rules, as_string))
+    pairs = ", ".join(f"{json.dumps(a)}: {json.dumps(w)}" for (a, _), w in zip(rules, words))
+    head = f'"alphabet": {json.dumps(header)}, ' if header else ""
+    return "{" + head + '"rules": {' + pairs + "}}"
+
+
+@st.composite
+def named_rules(draw):
+    """(letters, words): a random substitution of substitutions() on tokens that both
+    forms can write, one character each when a word is a single token (L = 1)."""
+    sub = draw(substitutions())
+    token = st.text("abxyz019", min_size=1, max_size=1 if sub.length == 1 else 2)
+    letters = draw(st.lists(token, min_size=sub.size, max_size=sub.size, unique=True))
+    return letters, [[letters[x] for x in rule] for rule in sub.rules]
+
+
+def _sub_of(letters, words: dict) -> Substitution:
+    return Substitution(Alphabet(tuple(letters)), tuple(
+        tuple(letters.index(t) for t in words[a]) for a in letters))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(named_rules(), st.data())
+def test_text_and_json_forms_parse_alike(named, data):
+    letters, words = named
+    words = dict(zip(letters, words))
+    rules = [(a, words[a]) for a in data.draw(st.permutations(letters))]
+    as_string = data.draw(st.lists(st.booleans(), min_size=len(rules), max_size=len(rules)))
+    expected = _sub_of(letters, words)
+    assert parse_substitution(text_form(letters, rules)) == expected
+    assert parse_substitution(json_form(letters, rules, as_string)) == expected
+    # no header: the text letters in rule order, the JSON letters sorted
+    in_order = sorted(letters)
+    assert parse_substitution(text_form(None, [(a, words[a]) for a in in_order])) == \
+        parse_substitution(json_form(None, rules, as_string)) == _sub_of(in_order, words)
+
+
+CORRUPTIONS = {
+    "extra rule": "rule for letter 'w' not in @alphabet header",
+    "duplicate rule": "duplicate rule for letter",
+    "unknown token": "unknown letter 'w' in rule for",
+    "unequal lengths": "unequal rule lengths",
+    "header letter without a rule": "missing rule for letter 'w'",
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(named_rules(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
+def test_text_and_json_forms_fail_alike(named, corruption, data):
+    letters, words = named
+    header, rules = list(letters), list(zip(letters, words))
+    i = data.draw(st.integers(0, len(rules) - 1))  # "w" is outside the token alphabet
+    if corruption == "extra rule":
+        rules.insert(data.draw(st.integers(0, len(rules))), ("w", words[i]))
+    elif corruption == "duplicate rule":
+        rules.insert(data.draw(st.integers(0, len(rules))), (letters[i], data.draw(
+            st.sampled_from(words))))
+    elif corruption == "unknown token":
+        word = list(words[i])
+        word[data.draw(st.integers(0, len(word) - 1))] = "w"
+        rules[i] = (letters[i], word)
+    elif corruption == "unequal lengths":
+        if len(rules) == 1:  # one rule has one length
+            rules.append(("w", ["w"] * (len(words[0]) + 1)))
+            header.append("w")
+        else:
+            rules[i] = (letters[i], words[i] + words[i][:1])
+    else:
+        header.insert(data.draw(st.integers(0, len(header))), "w")
+    as_string = data.draw(st.lists(st.booleans(), min_size=len(rules), max_size=len(rules)))
+    errors = []
+    for source in (text_form(header, rules), json_form(header, rules, as_string)):
+        with pytest.raises(ParseError) as err:
+            parse_substitution(source)
+        errors.append(re.sub(r" \(line \d+\)$", "", str(err.value)))
+    assert errors[0] == errors[1]
+    assert CORRUPTIONS[corruption] in errors[0]
 
 
 def test_power_column_known_values():
