@@ -8,6 +8,7 @@ from .errors import SubstitutionError
 from .spin import (
     SpinSystem,
     build_spin_substitution,
+    check_spin_letters,
     digit_coding,
     hadamard4,
     rudin_shapiro,
@@ -140,5 +141,7 @@ def get_builtin(name: str) -> Builtin:
             return Builtin(name, f"cyclic shift substitution on {L} letters",
                            cyclic_shift_substitution(L), "0")
         if head == "vandermonde":
+            if L >= 2:  # L*L letters, refused before the L x L matrix is built
+                check_spin_letters(L, L)
             return _spin_builtin(name, f"Vandermonde spin system (L={L})", vandermonde(L))
     raise SubstitutionError(f"unknown builtin {name!r}; known: {', '.join(builtin_names())}")

@@ -29,13 +29,14 @@ from .substitution import (
     is_primitive,
     json_substitution,
     min_pair_cover_power,
+    pair_cover_bound,
     parse_substitution,
     read_json,
     recurrence_constants,
     recurrence_formula,
 )
 from .supersub import export_dot, graph_of_sets
-from .vdw import VdwQuery, vdw_lower, vdw_upper_report
+from .vdw import VdwQuery, _cap_digits, vdw_lower, vdw_upper_report
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -147,11 +148,12 @@ def cmd_analyze(args) -> int:
             "inverse_palindromic": pal.inverse_palindromic,
         }
     if report["primitive"]:
-        r_formula, n_bound = recurrence_formula(sub.size, sub.length)
-        try:
-            r_text = str(r_formula)
-        except ValueError:  # over Python's int-to-decimal digit limit
-            r_text = f"2*{sub.length}^{n_bound}-{sub.length}"
+        L, n_bound = sub.length, pair_cover_bound(sub.size)
+        try:  # R >= L^N >= 2^(N·⌊log2 L⌋): past MAX_DIGITS digits, R is not built
+            _cap_digits("R", log2_floor=n_bound * (L.bit_length() - 1))
+            r_text = str(_cap_digits("R", recurrence_formula(sub.size, L)[0]))
+        except ResourceCapError:
+            r_text = f"2*{L}^{n_bound}-{L}"
         entry = {"r_formula": r_text, "n_bound": n_bound}
         if args.exact_recurrence:
             rec = recurrence_constants(sub)

@@ -74,12 +74,17 @@ def _letter(sys: SpinSystem, digit: int, exp: int) -> int:
     return digit * sys.modulus + exp
 
 
+def check_spin_letters(D: int, m: int) -> None:
+    """Refuse a spin system of D digits and m spins: D*m letters, over the dense limit."""
+    if D * m > MAX_DENSE_ALPHABET:
+        raise SubstitutionError(f"spin system of {D}*{m} letters, more than {MAX_DENSE_ALPHABET}")
+
+
 def build_spin_substitution(sys: SpinSystem) -> Substitution:
     """Length-D substitution on digit/spin pairs: position i of the image of
     (b, s) carries digit i and spin matrix[i][b] + s."""
     D, m = sys.digits, sys.modulus
-    if D * m > MAX_DENSE_ALPHABET:
-        raise SubstitutionError(f"spin system of {D}*{m} letters, more than {MAX_DENSE_ALPHABET}")
+    check_spin_letters(D, m)
     letters = tuple(sys.letter_name(d, e) for d in range(D) for e in range(m))
     rules = tuple(tuple(_letter(sys, i, (sys.matrix[i][b] + s) % m) for i in range(D))
                   for b in range(D) for s in range(m))

@@ -241,7 +241,8 @@ def _two_words(fp: FixedPointSpec) -> MappingProxyType:
             first[a, b] = i
             w = images[a] + images[b]
             for j in range(len(images[a])):
-                heapq.heappush(heap, (i * len(images[a]) + j, w[j], w[j + 1]))
+                if (w[j], w[j + 1]) not in first:  # a popped 2-word is settled
+                    heapq.heappush(heap, (i * len(images[a]) + j, w[j], w[j + 1]))
     return MappingProxyType(first)
 
 

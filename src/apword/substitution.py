@@ -304,18 +304,17 @@ def _legal_index_words(sub: Substitution, n: int) -> frozenset[tuple[int, ...]]:
         return frozenset()  # images never grow past one letter
 
     def subwords(word):
-        return {tuple(word[i:i + n]) for i in range(len(word) - n + 1)}
+        return set(zip(*(word[i:] for i in range(n))))
 
     words: set[tuple[int, ...]] = set()
     for a in range(sub.size):
         words |= subwords(sub.expand(a, ceil_log(L, n)))
-    while True:
-        new = set(words)
-        for w in words:
-            new |= subwords(sub.apply(w))
-        if new == words:
-            return frozenset(words)
-        words = new
+    todo = list(words)  # each word's image is read once, when the word is first found
+    while todo:
+        for w in subwords(sub.apply(todo.pop())) - words:
+            words.add(w)
+            todo.append(w)
+    return frozenset(words)
 
 
 def legal_words(sub: Substitution, n: int) -> set[str]:
@@ -341,50 +340,36 @@ def induced_two_block(sub: Substitution) -> CollaredSubstitution:
     """Rewrite the substitution over collared letters a_b with ab legal."""
     pairs = sorted(_legal_index_words(sub, 2))
     index = {p: i for i, p in enumerate(pairs)}
-    L = sub.length
-    rules = []
-    for a, b in pairs:
-        image = list(sub.rules[a]) + list(sub.rules[b])
-        rule = []
-        for i in range(L):
-            collared = (image[i], image[i + 1])
-            rule.append(index[collared])
-        rules.append(tuple(rule))
-    return CollaredSubstitution(sub, tuple(pairs), tuple(rules))
-
-
-def _pair_sets_by_level(sub: Substitution):
-    """Yield, per level n >= 1, the map a -> set of 2-subwords of the n-th image of a."""
-    L = sub.length
-    letters = {a: {a} for a in range(sub.size)}
-    pairs: dict[int, set] = {a: set() for a in range(sub.size)}
-    while True:
-        new_pairs = {}
-        new_letters = {}
-        for a in range(sub.size):
-            inner = set()
-            for x in letters[a]:
-                rule = sub.rules[x]
-                inner |= {(rule[i], rule[i + 1]) for i in range(L - 1)}
-            for x, y in pairs[a]:
-                inner.add((sub.rules[x][L - 1], sub.rules[y][0]))
-            new_pairs[a] = inner
-            new_letters[a] = set().union(*(set(sub.rules[x]) for x in letters[a]))
-        letters, pairs = new_letters, new_pairs
-        yield pairs
+    images = [sub.rules[a] + sub.rules[b] for a, b in pairs]
+    rules = tuple(tuple(index[w[i], w[i + 1]] for i in range(sub.length)) for w in images)
+    return CollaredSubstitution(sub, tuple(pairs), rules)
 
 
 def min_pair_cover_power(sub: Substitution) -> int:
-    """Least n such that every image of level n contains every legal 2-word."""
+    """Least n such that every image of level n contains every legal 2-word.
+
+    σ^n(a) is the blocks σ^(n-1)(b) of the letters b of σ(a), so its 2-words are those
+    of its blocks and the junction pairs (last letter of a block, first of the next):
+    per letter, each level keeps first and last letters and a bit set of 2-words."""
     if not is_primitive(sub):
         raise SubstitutionError("pair-cover power needs a primitive substitution")
-    target = _legal_index_words(sub, 2)
-    bound = pair_cover_bound(sub.size)
-    for n, pairs in enumerate(_pair_sets_by_level(sub), start=1):
-        if all(pairs[a] >= target for a in range(sub.size)):
+    bit = {p: 1 << i for i, p in enumerate(sorted(_legal_index_words(sub, 2)))}
+    full = (1 << len(bit)) - 1
+    first = last = tuple(range(sub.size))
+    pairs = (0,) * sub.size
+    for n in range(1, pair_cover_bound(sub.size) + 2):
+        new = []
+        for rule in sub.rules:
+            word = pairs[rule[-1]]
+            for x, y in zip(rule, rule[1:]):
+                word |= pairs[x] | bit[last[x], first[y]]
+            new.append(word)
+        first = tuple(first[rule[0]] for rule in sub.rules)
+        last = tuple(last[rule[-1]] for rule in sub.rules)
+        pairs = new
+        if all(word == full for word in pairs):
             return n
-        if n > bound:
-            raise SubstitutionError("pair cover power exceeded its theoretical bound")
+    raise SubstitutionError("pair cover power exceeded its theoretical bound")
 
 
 @dataclass(frozen=True)
@@ -420,10 +405,10 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
     occurrences lie in a factor of at most 2 L^N + 1 letters. The windows of
     the least level k with L^k >= 2 L^N + 1 hold a copy of every such factor
     (_level_windows), and each window is a factor of x, so the largest gap
-    inside one window is zeta_2. Windows over the budget are refused unread.
+    inside one window is zeta_2. Windows over the budget are refused unread,
+    before recurrence_formula builds its R.
     """
     c, L = sub.size, sub.length
-    r_formula, n_bound = recurrence_formula(c, L)
     if L < 2:
         raise SubstitutionError("exact recurrence needs substitution length >= 2")
     n_exact = min_pair_cover_power(sub)
@@ -433,6 +418,7 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
     if letters > _RECURRENCE_CAP:
         raise ResourceCapError(f"exact recurrence windows hold {letters} letters, "
                                f"cap is {_RECURRENCE_CAP}")
+    r_formula, n_bound = recurrence_formula(c, L)
     zeta2 = 0
     for a, b in windows:
         w = factor(fp, a, b).astype(np.uint16)  # c <= 256: a 2-word code fits 16 bits

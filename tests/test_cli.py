@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import apword.cli
+import apword.substitution
 from apword import PrefixSource, get_builtin, max_ap_in_prefix, prefix
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,6 +67,28 @@ def test_analyze_r_formula_over_the_decimal_digit_limit():
     assert cp.returncode == 0, cp.stderr
     rec = json.loads(cp.stdout)["recurrence"]
     assert rec["r_formula"] == "2*5^389378-5" and rec["n_bound"] == 389378
+
+
+def analyze_r_formula(capsys, *args: str) -> str:
+    assert apword.cli.main(["analyze", *args]) == 0
+    return json.loads(capsys.readouterr().out)["recurrence"]["r_formula"]
+
+
+def test_analyze_r_formula_is_decimal_up_to_4300_digits(monkeypatch, capsys):
+    # R = 2*10^N - 10 has N + 1 digits: decimal at 4,300 of them, the formula at 4,301
+    for n, text in ((4299, "1" + "9" * 4298 + "0"), (4300, "2*10^4300-10")):
+        monkeypatch.setattr(apword.cli, "pair_cover_bound", lambda c: n)
+        monkeypatch.setattr(apword.substitution, "pair_cover_bound", lambda c: n)
+        assert 10**n <= 2 * 10**n - 10 < 10 ** (n + 1)
+        assert analyze_r_formula(capsys, "--rules", "a -> aaaaaaaaab ; b -> bbbbbbbbba") == text
+
+
+def test_analyze_r_formula_past_the_log_bound_is_not_built(monkeypatch, capsys):
+    def refuse(c, L):
+        raise AssertionError("R = 2L^N - L is built")
+
+    monkeypatch.setattr(apword.cli, "recurrence_formula", refuse)
+    assert analyze_r_formula(capsys, "--builtin", "vandermonde:5") == "2*5^389378-5"
 
 
 def test_analyze_length_one_substitution_exit_1():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -21,6 +22,7 @@ from apword import (
     SpinSystem,
     aperiodicity_certificate,
     build_spin_substitution,
+    builtin_names,
     column,
     columns,
     get_builtin,
@@ -60,6 +62,52 @@ def random_primitive_substitutions(seed: int, count: int):
         if is_primitive(sub):
             count -= 1
             yield sub
+
+
+def random_substitutions(seed: int, max_c: int, max_L: int):
+    """Endless seeded random substitutions with 1 <= c <= max_c, 1 <= L <= max_L."""
+    rng = random.Random(seed)
+    while True:
+        c, L = rng.randint(1, max_c), rng.randint(1, max_L)
+        rules = tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c))
+        yield Substitution(Alphabet(tuple("abcdef"[:c])), rules)
+
+
+def pair_cover_power_by_letter_sets(sub: Substitution) -> int:
+    """Reference N of a primitive sub: per level n, the letter set and the 2-word set
+    of each σ^n(a). The 2-words of σ^(n+1)(a) are those inside σ(x) for its letters x,
+    and the pairs (last of σ(x), first of σ(y)) for its 2-words xy."""
+    L, target = sub.length, legal_words_by_passes(sub, 2)
+    letters = {a: {a} for a in range(sub.size)}
+    pairs: dict[int, set] = {a: set() for a in range(sub.size)}
+    for n in itertools.count(1):
+        pairs = {a: {(sub.rules[x][i], sub.rules[x][i + 1]) for x in letters[a]
+                     for i in range(L - 1)}
+                 | {(sub.rules[x][L - 1], sub.rules[y][0]) for x, y in pairs[a]}
+                 for a in range(sub.size)}
+        letters = {a: {y for x in letters[a] for y in sub.rules[x]} for a in range(sub.size)}
+        if all(pairs[a] >= target for a in range(sub.size)):
+            return n
+
+
+def legal_words_by_passes(sub: Substitution, n: int) -> frozenset:
+    """Reference legal n-words: those of σ^k(a), L^k >= n, closed under taking the
+    n-words of images, pass by pass over every known word until a pass adds none."""
+    if n == 1:
+        return frozenset((a,) for a in range(sub.size))
+    if sub.length == 1:
+        return frozenset()
+
+    def subwords(word):
+        return {tuple(word[i:i + n]) for i in range(len(word) - n + 1)}
+
+    k = next(k for k in itertools.count() if sub.length**k >= n)
+    words = set().union(*(subwords(sub.expand(a, k)) for a in range(sub.size)))
+    while True:
+        new = words.union(*(subwords(sub.apply(w)) for w in words))
+        if new == words:
+            return frozenset(words)
+        words = new
 
 
 def height_by_prefix(sub: Substitution, prefix_len: int) -> int:
@@ -198,14 +246,17 @@ def _traced_peak(make) -> int:
 @pytest.mark.parametrize("make", [
     lambda: get_builtin("tm:1000"),
     lambda: get_builtin("vandermonde:100"),
+    lambda: get_builtin("vandermonde:100000"),
     lambda: build_spin_substitution(spin_system_from_json(
         {"modulus": 100000, "matrix": [[0, 0], [0, 1]]})),
     lambda: get_builtin("tm:257"),
     lambda: get_builtin("vandermonde:17"),
     lambda: build_spin_substitution(SpinSystem(129, ((0, 0), (0, 1)))),
-], ids=["tm:1000", "vandermonde:100", "modulus:100000", "tm:257", "vandermonde:17", "2*129"])
+], ids=["tm:1000", "vandermonde:100", "vandermonde:100000", "modulus:100000",
+        "tm:257", "vandermonde:17", "2*129"])
 def test_oversized_builtins_raise_before_building(make):
-    # the alphabet and its rules (L^2, L^3 or D*m*D entries) were built before the check
+    # the alphabet and its rules (L^2, L^3 or D*m*D entries), or the L x L Vandermonde
+    # matrix, were built before the check
     assert _traced_peak(make) < 2**20
 
 
@@ -476,6 +527,38 @@ def test_recurrence_exact_known_n():
     assert min_pair_cover_power(get_builtin("tm:3").substitution) == 4
 
 
+ALL_BUILTINS = [name for name in builtin_names() if ":" not in name] + [
+    "tm:2", "tm:3", "tm:5", "tm:9", "tm:16", "tm:32", "vandermonde:3", "vandermonde:5"]
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_min_pair_cover_power_matches_the_letter_sets(name):
+    sub = get_builtin(name).substitution
+    assert min_pair_cover_power(sub) == pair_cover_power_by_letter_sets(sub)
+
+
+def test_min_pair_cover_power_matches_the_letter_sets_at_random():
+    subs = itertools.islice(filter(is_primitive, random_substitutions(2400, 6, 5)), 2000)
+    got = [(min_pair_cover_power(sub), pair_cover_power_by_letter_sets(sub)) for sub in subs]
+    assert all(a == b for a, b in got)
+    assert max(n for n, _ in got) >= 8  # deep levels are reached, not only the first
+
+
+def test_min_pair_cover_power_rejects_a_non_primitive_substitution():
+    for rules in ("a -> aa ; b -> bb", "a -> ab ; b -> bb"):
+        with pytest.raises(SubstitutionError, match="primitive"):
+            min_pair_cover_power(parse_substitution(rules))
+
+
+def test_legal_words_match_the_closure_by_passes():
+    subs = list(itertools.islice(random_substitutions(2402, 4, 4), 4000))
+    assert any(sub.length == 1 for sub in subs) and any(sub.size == 1 for sub in subs)
+    for sub in subs:
+        for n in range(1, 6):
+            assert _legal_index_words.__wrapped__(sub, n) == legal_words_by_passes(sub, n), \
+                (sub.rules, n)
+
+
 def test_min_pair_cover_power_builds_no_recurrence_constant(monkeypatch):
     def fail(c, L):
         raise AssertionError("recurrence_formula builds R = 2L^N - L")
@@ -502,6 +585,7 @@ def test_recurrence_exact_cap_diagnostic(monkeypatch):
 
 def test_recurrence_exact_over_the_budget_generates_no_letter(monkeypatch):
     monkeypatch.setattr(apword.substitution, "factor", refuse)
+    monkeypatch.setattr(apword.substitution, "recurrence_formula", refuse)  # R is not built
     with pytest.raises(ResourceCapError, match="cap is 67108864"):
         recurrence_constants(get_builtin("tm:9").substitution)
 
