@@ -23,8 +23,8 @@ from .groups import (
     palindromicity,
 )
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
-from .stream import (Coding, FixedPointSpec, _level, _level_windows, _two_words, ceil_log,
-                     check_prefix, factor)
+from .stream import (Coding, FixedPointSpec, _level, _level_windows, _orbit_windows, _two_words,
+                     ceil_log, check_prefix, factor)
 from .substitution import (
     Substitution,
     column,
@@ -314,8 +314,8 @@ class PrefixSource:
 
     The planes are ceil(log2) of the alphabet size, and no letters are kept:
     each factor is packed chunk by chunk from factor. level(k) packs the
-    windows _level_windows(fp, k) and get(n) the prefix [0, n), each once, so
-    every d read from one set reuses its packing and its kernel buffers.
+    windows _orbit_windows(fp, coding, k) and get(n) the prefix [0, n), each
+    once, so every d read from one set reuses its packing and its kernel buffers.
     get(n) lets every other set go, buffers included, before it packs a
     prefix it does not hold, so the levels never add to the peak of packing
     the prefix.
@@ -336,8 +336,8 @@ class PrefixSource:
         return self._pack(((0, n),))
 
     def level(self, k: int) -> PackedWord:
-        """The windows _level_windows(fp, k), packed."""
-        return self._pack(_level_windows(self.fp, k))
+        """The windows _orbit_windows(fp, coding, k), packed: one 2-word per orbit."""
+        return self._pack(_orbit_windows(self.fp, self.coding, k))
 
     def _pack(self, factors) -> PackedWord:
         if factors not in self._packed:
@@ -409,16 +409,18 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
     """A(d), read from the level windows of x, leftmost start on ties.
 
     From the level of hint_lower·d, or of d, the kernel runs on the packed
-    windows of level k, B = L**k, and finds M terms. If M·d <= B, every
-    progression of M + 1 terms in x would have a copy in them
-    (_level_windows), so A(d) = M, and the least start the kernel reports is
-    the leftmost one in x, since every copy starts no later than the
-    progression it copies. Otherwise k goes up to the level of M·d.
-    prefix_len is _certified_window, whatever level the search started at.
+    windows of level k, B = L**k, one per symmetry orbit of 2-words, and finds
+    M terms. If M·d <= B, every progression of M + 1 terms in x would have one
+    of as many terms in them (_orbit_windows), so A(d) = M, and the least
+    start the kernel reports is the leftmost one in x, since those start no
+    later than the progression they stand for. Otherwise k goes up to the
+    level of M·d. prefix_len is _certified_window, whatever level the search
+    started at.
 
-    policy.prefix_cap is a budget on window letters: a level over it ends the
-    search with the plain kernel on the first prefix_cap letters, a lower
-    bound. A decided row is ExactUnderBound inside _exact_domain and
+    policy.prefix_cap is a budget on the letters of the windows of all the
+    2-words (_level_windows), dropped orbit members included: a level over it
+    ends the search with the plain kernel on the first prefix_cap letters, a
+    lower bound. A decided row is ExactUnderBound inside _exact_domain and
     LowerBoundOnly outside it. A source must have been built for the same
     fixed point and coding, since the windows are taken from fp and the
     letters from source.

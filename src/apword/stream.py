@@ -186,6 +186,13 @@ def check_prefix(fp: FixedPointSpec, length: int, cap: int = PREFIX_CAP) -> None
         raise SubstitutionError("a length-1 substitution has a one-letter fixed point")
 
 
+def check_coding(fp: FixedPointSpec, coding: Coding | None) -> None:
+    """Raise unless the coding, if any, has one entry per letter of the substitution."""
+    if coding is not None and len(coding.table) != fp.sub.size:
+        raise SubstitutionError(f"coding of {len(coding.table)} letters for a "
+                                f"{fp.sub.size}-letter substitution")
+
+
 def factor(fp: FixedPointSpec, start: int, stop: int,
            coding: Coding | None = None) -> np.ndarray:
     """Letters start .. stop-1 as a uint8 index array, coded if requested.
@@ -197,9 +204,7 @@ def factor(fp: FixedPointSpec, start: int, stop: int,
     """
     if not 0 <= start < stop:
         raise SubstitutionError(f"no letters in [{start}, {stop})")
-    if coding is not None and len(coding.table) != fp.sub.size:
-        raise SubstitutionError(f"coding of {len(coding.table)} letters for a "
-                                f"{fp.sub.size}-letter substitution")
+    check_coding(fp, coding)
     if fp.sub.length == 1:
         check_prefix(fp, stop)
         return np.full(1, fp.seed if coding is None else coding.table[fp.seed], np.uint8)
@@ -246,6 +251,18 @@ def _two_words(fp: FixedPointSpec) -> MappingProxyType:
     return MappingProxyType(first)
 
 
+def _merged_windows(firsts, B: int) -> tuple[tuple[int, int], ...]:
+    """The windows [fB, (f+2)B) at the sorted first occurrences f, merged where they
+    overlap or touch."""
+    windows = []
+    for f in firsts:
+        if windows and f * B <= windows[-1][1]:
+            windows[-1] = (windows[-1][0], (f + 2) * B)
+        else:
+            windows.append((f * B, (f + 2) * B))
+    return tuple(windows)
+
+
 @lru_cache(maxsize=None)
 def _level_windows(fp: FixedPointSpec, k: int) -> tuple[tuple[int, int], ...]:
     """The windows [fB, (f+2)B) at the first occurrences f of the 2-words, B = L**k, merged
@@ -257,14 +274,86 @@ def _level_windows(fp: FixedPointSpec, k: int) -> tuple[tuple[int, int], ...]:
     does its copy at fB + s - iB in x[fB, (f+2)B), for f <= i the first
     occurrence of x_i x_{i+1}.
     """
-    B = fp.sub.length**k
-    windows = []
-    for f in sorted(_two_words(fp).values()):
-        if windows and f * B <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], (f + 2) * B)
+    return _merged_windows(sorted(_two_words(fp).values()), fp.sub.length**k)
+
+
+@lru_cache(maxsize=None)
+def _symmetries(fp: FixedPointSpec, coding: Coding | None) -> tuple[tuple[int, ...], ...]:
+    """The letter permutations τ with τ∘σ = σ∘τ that map the 2-words of x onto
+    themselves and move the coded symbols by a map ρ, κ∘τ = ρ∘κ, the identity
+    among them; () if some letter does not occur in x.
+
+    τ(x_i x_{i+1}) is then a 2-word whose level-k window is τ of the window of
+    x_i x_{i+1}, and coded, ρ of it. τ has finite order, so κ(τa) = κ(τb) gives
+    κ(a) = κ(b) and ρ is a bijection: the two windows hold the same
+    monochromatic progressions at the same offsets. Every letter is reached
+    from the seed by the rules, so τ(seed) fixes τ through
+    τ(σ(a)_i) = σ(τ(a))_i: one candidate per letter, each propagated in
+    O(c·L) steps.
+    """
+    check_coding(fp, coding)
+    c, seed = fp.sub.size, fp.seed
+    rules = np.array(fp.sub.rules, dtype=np.intp)
+    words = np.array(list(_two_words(fp)), dtype=np.intp).reshape(-1, 2)
+    legal = np.zeros(c * c, bool)
+    legal[words[:, 0] * c + words[:, 1]] = True
+    kappa = np.array(coding.table if coding is not None else range(c), dtype=np.intp)
+    found = []
+    for t in range(c):
+        tau = np.full(c, -1, np.intp)
+        tau[seed], frontier = t, np.array([seed])
+        while len(frontier):
+            src, dst = rules[frontier].ravel(), rules[tau[frontier]].ravel()
+            known = tau[src]
+            if (known[known >= 0] != dst[known >= 0]).any():
+                break
+            new, image = src[known < 0], dst[known < 0]
+            tau[new] = image
+            if (tau[new] != image).any():  # one new letter sent to two letters
+                break
+            frontier = np.flatnonzero(np.bincount(new, minlength=c))
         else:
-            windows.append((f * B, (f + 2) * B))
-    return tuple(windows)
+            if (tau < 0).any():  # a letter the seed does not reach is not in x
+                return ()
+            if np.bincount(tau, minlength=c).max() > 1 \
+                    or not legal[tau[words[:, 0]] * c + tau[words[:, 1]]].all():
+                continue
+            rho = np.empty(kappa.max() + 1, np.intp)
+            rho[kappa] = kappa[tau]
+            if (rho[kappa] != kappa[tau]).any():
+                continue
+            found.append(tuple(tau.tolist()))
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _orbit_firsts(fp: FixedPointSpec, coding: Coding | None) -> tuple[int, ...]:
+    """The sorted first occurrences of the 2-words that occur first in their orbit
+    under _symmetries(fp, coding)."""
+    first = _two_words(fp)
+    c = fp.sub.size
+    words = sorted(first, key=first.get)
+    u, v = np.array(words, dtype=np.intp).reshape(-1, 2).T
+    rank = np.empty(c * c, np.intp)
+    rank[u * c + v] = np.arange(len(words))
+    least = np.arange(len(words))
+    for tau in _symmetries(fp, coding):
+        t = np.array(tau, dtype=np.intp)
+        np.minimum(least, rank[t[u] * c + t[v]], out=least)
+    return tuple(first[words[i]] for i in np.flatnonzero(least == np.arange(len(words))))
+
+
+@lru_cache(maxsize=None)
+def _orbit_windows(fp: FixedPointSpec, coding: Coding | None,
+                   k: int) -> tuple[tuple[int, int], ...]:
+    """The level-k windows of the 2-words kept by _orbit_firsts, merged as in _level_windows.
+
+    A factor's copy in the window of a dropped 2-word w has an image under some
+    τ, at the same offset, in the window of the kept τ(w), which occurs no
+    later in x. So a monochromatic progression of at most B + 1 letters has
+    one of the same length in these windows, starting no later than it.
+    """
+    return _merged_windows(_orbit_firsts(fp, coding), fp.sub.length**k)
 
 
 def _level(fp: FixedPointSpec, length: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -22,6 +23,7 @@ from apword import (
     builtin_names,
     difference_families,
     get_builtin,
+    is_primitive,
     max_ap_in_prefix,
     parse_substitution,
     prefix,
@@ -47,6 +49,9 @@ from apword.stream import (
     _cycle_length,
     _level,
     _level_windows,
+    _orbit_firsts,
+    _orbit_windows,
+    _symmetries,
     _two_words,
     letter_index_at,
 )
@@ -704,8 +709,8 @@ def test_scan_repeats_no_kernel_call(monkeypatch):
     fp = get_builtin("tm:5").fixed_point()
     rows = scan(fp, None, 200, 300)
     assert all(row.status == EXACT for row in rows)
-    levels = {_level_windows(fp, k) for k in range(1, 12)}
-    assert all(factors in levels for factors, _ in calls)  # every call reads level windows
+    levels = {_orbit_windows(fp, None, k) for k in range(1, 12)}
+    assert all(factors in levels for factors, _ in calls)  # every call reads orbit windows
     assert len(set(calls)) == len(calls), "a kernel call on one level was repeated"
 
 
@@ -810,6 +815,117 @@ def test_level_windows_match_the_plain_kernel_property(case):
         assert _is_progression(letters, d, got.best_start, got.best_len), d
         if got.best_len * d <= fp.sub.length**k:
             assert (got.best_len, got.best_start) == (want.best_len, want.best_start), d
+
+
+def symmetries_by_trial(fp, coding) -> set[tuple[int, ...]]:
+    """Every letter permutation τ with τ∘σ = σ∘τ, τ(W2) = W2 and κ∘τ = ρ∘κ for a map ρ,
+    tried one permutation at a time."""
+    sub, words = fp.sub, set(_two_words(fp))
+    table = coding.table if coding is not None else range(sub.size)
+    found = set()
+    for tau in itertools.permutations(range(sub.size)):
+        rho = {}
+        if all(tau[sub.rules[a][i]] == sub.rules[tau[a]][i]
+               for a in range(sub.size) for i in range(sub.length)) \
+                and {(tau[u], tau[v]) for u, v in words} == words \
+                and all(rho.setdefault(table[a], table[tau[a]]) == table[tau[a]]
+                        for a in range(sub.size)):
+            found.add(tau)
+    return found
+
+
+@st.composite
+def symmetric_cases(draw):
+    """(fp, coding): a primitive substitution on up to 4 letters that commutes with a
+    random letter permutation g, or a random one, and a coding that is random,
+    injective, constant on the orbits of g, or None.
+
+    σ(g^j a) = g^j σ(a) is well defined when every letter of σ(a) is fixed by
+    g^m, m the length of the orbit of a.
+    """
+    c, L = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    g = draw(st.permutations(range(c)))
+    orbit_of = {}
+    for a in range(c):
+        orbit = [a]
+        while g[orbit[-1]] != a:
+            orbit.append(g[orbit[-1]])
+        orbit_of[a] = orbit
+    rules = [None] * c
+    symmetric = draw(st.booleans())
+    for a in range(c):
+        if rules[a] is not None:
+            continue
+        m = len(orbit_of[a])
+        allowed = [b for b in range(c) if m % len(orbit_of[b]) == 0] if symmetric else range(c)
+        image = draw(st.lists(st.sampled_from(allowed), min_size=L, max_size=L))
+        for b in orbit_of[a] if symmetric else [a]:
+            rules[b] = tuple(image)
+            image = [g[x] for x in image]
+    sub = Substitution(Alphabet(tuple(f"x{a}" for a in range(c))), tuple(rules))
+    assume(is_primitive(sub))
+    fp = FixedPointSpec.find(sub)
+    m = draw(st.integers(1, c))
+    names = tuple(f"y{a}" for a in range(c))
+    coding = draw(st.sampled_from([
+        None,
+        Coding(tuple(draw(st.lists(st.integers(0, m - 1), min_size=c, max_size=c))), names[:m]),
+        Coding(tuple(draw(st.permutations(range(c)))), names),
+        Coding(tuple(min(orbit_of[a]) for a in range(c)), names)]))
+    return fp, coding
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=symmetric_cases())
+def test_orbit_windows_match_all_windows_property(case):
+    # the symmetries are exactly those found by trial, and the rows read from one
+    # 2-word per orbit equal those read from every 2-word, prefix_len included
+    fp, coding = case
+    assert set(_symmetries(fp, coding)) == symmetries_by_trial(fp, coding)
+    policy = ScanPolicy(prefix_cap=2**14)
+    rows = scan(fp, coding, 1, 40, policy)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(apword.progressions, "_orbit_windows",
+                  lambda fp, coding, k: _level_windows(fp, k))
+        assert scan(fp, coding, 1, 40, policy) == rows
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["tm:5", "tm:9", "tm:16", "vandermonde:5"])
+def test_orbit_windows_match_all_windows(monkeypatch, name):
+    # scan rows at d = 1..300 read from one 2-word per orbit equal those read from
+    # every 2-word; a 2^22 budget keeps the rows over it (the even d of the digit
+    # codings, A(d) infinite) quick, and they read the same prefix either way
+    b = get_builtin(name)
+    fp, policy = b.fixed_point(), ScanPolicy(prefix_cap=2**22)
+    for coding in [None, *b.codings().values()]:
+        rows = scan(fp, coding, 1, 300, policy)
+        with monkeypatch.context() as m:
+            m.setattr(apword.progressions, "_orbit_windows",
+                      lambda fp, coding, k: _level_windows(fp, k))
+            assert scan(fp, coding, 1, 300, policy) == rows, coding
+
+
+@pytest.mark.parametrize("name,coding,symmetries,kept", [
+    ("rs", None, 2, 4), ("rs", "spin", 2, 4), ("rs", "digit", 2, 4), ("tm:2", None, 2, 2),
+    ("c3-invpal", None, 3, 2), ("hadamard4", "spin", 2, 8), ("vandermonde:5", "spin", 5, 25),
+    ("tm:9", None, 9, 9), ("supersub6", None, 1, 33), ("outlook6", None, 1, 14)])
+def test_symmetries_of_the_builtins(name, coding, symmetries, kept):
+    b = get_builtin(name)
+    fp, code = b.fixed_point(), b.coding(coding) if coding else None
+    assert len(_symmetries(fp, code)) == symmetries
+    assert len(_orbit_firsts(fp, code)) == kept
+    # the least first occurrence of each orbit is kept, the seed's 2-word among them
+    assert _orbit_firsts(fp, code)[0] == 0
+    assert set(_orbit_firsts(fp, code)) <= set(_two_words(fp).values())
+
+
+def test_symmetries_need_every_letter_in_the_word():
+    # c is in no image of a or b, so x has no c: the swap of a and b commutes with σ,
+    # but with a letter outside x no symmetry is used, and every window is kept
+    fp = FixedPointSpec.find(parse_substitution("a -> ab ; b -> ba ; c -> cc"), "a")
+    assert _symmetries(fp, None) == ()
+    assert _orbit_windows(fp, None, 2) == _level_windows(fp, 2)
 
 
 @st.composite
@@ -920,17 +1036,18 @@ def test_prefix_source_lets_its_levels_go_before_growing(monkeypatch):
 
     ref = None
     monkeypatch.setattr(apword.progressions, "factor", spy)
-    src = PrefixSource(get_builtin("rs").fixed_point())  # four letters: two planes
-    level = src.level(18)  # 11 * 2**18 letters
-    assert src.level(18) is level and len(lengths) == 11 * 2**18 // 2**16
+    src = PrefixSource(get_builtin("tm:3").fixed_point())  # three letters: two planes
+    B = 3**12  # one 2-word per orbit of the cyclic shifts: the windows [0, 4B) and [8B, 10B)
+    level = src.level(12)
+    assert src.level(12) is level and len(lengths) == -(-4 * B // 2**16) + -(-2 * B // 2**16)
     ref = weakref.ref(level.planes)
     del level
     held.clear()
     src.get(2**20)
     assert held and not any(held), "a level was held while the prefix was packed"
     assert max(lengths) <= 2**16
-    B = 2**18  # the windows [0, 8B) and [11B, 14B), packed one after the other
-    assert src.level(18).spans == ((0, 8 * B, 0), (8 * B, 11 * B, 11 * B))
+    a = -(-4 * B // 64) * 64  # the second window is packed from the next word
+    assert src.level(12).spans == ((0, 4 * B, 0), (a, a + 2 * B, 8 * B))
 
 
 def test_tm_cube_free():

@@ -638,7 +638,7 @@ def test_aperiodicity_checks_a_period_with_the_power_of_the_fixed_point():
 
 
 def nested_returns(e: int) -> Substitution:
-    """x_k -> x_min(k+1, e-1) x_0; the fixed point from x_(e-1) has least period 2^(e-2)."""
+    """x_k -> x_min(k+1, e-1) x_0; the fixed point from x_(e-1) has least period 2^(e-1)."""
     return Substitution(Alphabet(tuple(f"x{k}" for k in range(e))),
                         tuple((min(k + 1, e - 1), 0) for k in range(e)))
 
