@@ -76,7 +76,7 @@ def _load_target(args):
         source = args.rules
     data = read_json(source) if source.lstrip().startswith("{") else None
     if data is not None and "matrix" in dict(data):
-        sys_ = spin_system_from_json(dict(data))
+        sys_ = spin_system_from_json(data)
         sub = build_spin_substitution(sys_)
         return Builtin("user-spin", "user spin system", sub,
                        sub.alphabet.letters[0], spin=sys_)
@@ -89,7 +89,7 @@ def _coding_for(builtin, name):
     if name in (None, "none") or name in builtin.codings() or not os.path.exists(name):
         return builtin.coding(name)
     with open(name, encoding="utf-8") as fh:
-        return Coding.from_map(builtin.substitution, json.load(fh))
+        return Coding.from_map(builtin.substitution, read_json(fh.read()))
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -359,8 +359,7 @@ def main(argv=None) -> int:
         # the reader stopped early; stdout goes to devnull so the flush at exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ParseError, SubstitutionError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, SubstitutionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceCapError as exc:

@@ -57,17 +57,21 @@ def vandermonde(L: int) -> SpinSystem:
     return SpinSystem(L, tuple(tuple((i * j) % L for j in range(L)) for i in range(L)))
 
 
-def spin_system_from_json(data: dict) -> SpinSystem:
-    try:
-        modulus = int(data["modulus"])
-        matrix = tuple(tuple(int(x) for x in row) for row in data["matrix"])
-        digits = data.get("digits")
-        digits = None if digits is None else int(digits)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SubstitutionError(f"bad spin matrix JSON: {exc}") from None
-    if digits is not None and digits != len(matrix):
+def spin_system_from_json(data: tuple) -> SpinSystem:
+    """The spin system of read_json's pairs {"modulus": m, "matrix": [[...]], "digits": D},
+    digits optional: no other key, none repeated, and no float, bool or string as a number."""
+    fields = dict(data)
+    matrix = fields.get("matrix")
+    if not (len(fields) == len(data)
+            and {"modulus", "matrix"} <= fields.keys() <= {"modulus", "matrix", "digits"}
+            and isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
+            and all(type(x) is int for x in [fields["modulus"], fields.get("digits", 0),
+                                               *(x for row in matrix for x in row)])):
+        raise SubstitutionError("bad spin matrix JSON: it takes integers under 'modulus', "
+                                "'matrix' (a list of rows) and an optional 'digits', each once")
+    if fields.get("digits", len(matrix)) != len(matrix):
         raise SubstitutionError("digit count does not match matrix size")
-    return SpinSystem(modulus, matrix)
+    return SpinSystem(fields["modulus"], tuple(map(tuple, matrix)))
 
 
 def _letter(sys: SpinSystem, digit: int, exp: int) -> int:

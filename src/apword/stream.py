@@ -160,20 +160,21 @@ class Coding:
         return np.asarray(self.table, dtype=np.uint8)[arr]
 
     @classmethod
-    def from_map(cls, sub: Substitution, mapping: dict[str, str]) -> "Coding":
-        if not isinstance(mapping, dict):
+    def from_map(cls, sub: Substitution, mapping: dict[str, str] | tuple) -> "Coding":
+        """The coding of a dict, or of read_json's (letter, symbol) pairs: every letter
+        of sub once, and no other key."""
+        mapping = tuple(mapping.items()) if isinstance(mapping, dict) else mapping
+        if not isinstance(mapping, tuple):
             raise SubstitutionError("a coding maps each letter to a symbol")
-        missing = [a for a in sub.alphabet.letters if a not in mapping]
+        keys, letters = [letter for letter, _ in mapping], sub.alphabet.letters
+        if len(set(keys)) != len(keys) or not set(keys) <= set(letters):
+            raise SubstitutionError(f"coding keys {keys} repeat a letter or name no letter")
+        missing = [a for a in letters if a not in keys]
         if missing:
             raise SubstitutionError(f"coding misses letters {missing}")
-        names: list[str] = []
-        table = []
-        for letter in sub.alphabet.letters:
-            symbol = mapping[letter]
-            if symbol not in names:
-                names.append(symbol)
-            table.append(names.index(symbol))
-        return cls(tuple(table), tuple(names))
+        symbols = list(map(dict(mapping).get, letters))  # numbered by their first letter
+        names = [x for i, x in enumerate(symbols) if x not in symbols[:i]]
+        return cls(tuple(names.index(x) for x in symbols), tuple(names))
 
 
 def check_prefix(fp: FixedPointSpec, length: int, cap: int = PREFIX_CAP) -> None:

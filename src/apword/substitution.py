@@ -11,10 +11,10 @@ import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
 from .stream import (FixedPointSpec, _level, _level_windows, base_digits, ceil_log,
-                     check_tokens, factor, prefix)
+                     check_prefix, check_tokens, factor)
 
 _RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
-_DETECTOR_PREFIX = 2**20  # letters the periodicity detector reads
+_IMAGES_CAP = 2**22  # most letters of the images σ^q(a) that height and periodicity read
 
 
 def wielandt_cap(n: int) -> int:
@@ -431,9 +431,8 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
 
 @dataclass(frozen=True)
 class AperiodicityResult:
-    status: str  # "AperiodicByCriterion" | "PeriodicDetected" | "Unknown"
+    status: str  # "Aperiodic" | "PeriodicDetected" | "NotPeriodic"
     period: int | None = None
-    detail: str = ""
 
 
 def _two_words_share_an_end(sub: Substitution) -> bool:
@@ -460,40 +459,9 @@ def star_defect(sub: Substitution) -> str | None:
     return None
 
 
-def aperiodicity_certificate(sub: Substitution) -> AperiodicityResult:
-    """Certify aperiodicity for primitive bijective substitutions, else detect a
-    period of at most n/2 of the fixed point x = σ^q(x) from w = x[0, n), n = 2^20.
-
-    p is the first return of the half-prefix w[:n/2] in w, so p <= n/2 and
-    w[:p + n/2] has period p.
-    - If x has least period P <= n/2, then p <= P, and w[:p + n/2] has periods
-      p and P. As P - gcd(p, P) <= n/2, Fine and Wilf's lemma gives it period
-      gcd(p, P). It holds x[0, P), so x has period gcd(p, P), and p = P. The
-      check below passes, as σ^q(x[0, P)) = x[0, P·L^q).
-    - The check σ^q(w[:p]) = w[:p]^(L^q) makes each σ^(qm)(w[:p]), a prefix of
-      x, equal to w[:p]^(L^(qm)), so it passes only if x has period p.
-    So the answer is PeriodicDetected(P) exactly when x has a period of at most
-    n/2, P the least one, and Unknown otherwise.
-    """
-    if is_primitive(sub) and is_bijective(sub) and _two_words_share_an_end(sub):
-        return AperiodicityResult(
-            "AperiodicByCriterion",
-            detail="two legal 2-words share a first or last letter",
-        )
-
-    fp = FixedPointSpec.find(sub)
-    w = bytes(prefix(fp, _DETECTOR_PREFIX))
-    p = w.find(w[:_DETECTOR_PREFIX // 2], 1)
-    if p != -1:
-        block = list(w[:p])
-        if substitution_power(sub, fp.power).apply(block) == block * sub.length**fp.power:
-            return AperiodicityResult("PeriodicDetected", period=p)
-    return AperiodicityResult("Unknown")
-
-
-def _has_labelling(images, seed: int, n: int) -> bool:
-    """Whether λ(seed) = 0 and λ(images[a][j]) = λ(a)·len(images[a]) + j mod n
-    label every letter reached from the seed consistently."""
+def _labelling(images, seed: int, n: int) -> dict | None:
+    """The labels λ(seed) = 0 and λ(images[a][j]) = λ(a)·len(images[a]) + j mod n of
+    the letters reached from the seed, or None when they clash."""
     label, todo = {seed: 0}, [seed]
     while todo:
         a = todo.pop()
@@ -503,8 +471,36 @@ def _has_labelling(images, seed: int, n: int) -> bool:
                 label[b] = ell
                 todo.append(b)
             elif label[b] != ell:
-                return False
-    return True
+                return None
+    return label
+
+
+def aperiodicity_certificate(sub: Substitution) -> AperiodicityResult:
+    """Decide from the rules whether the fixed point x = S(x), S = σ^q, is periodic.
+
+    Letters of x whose S-images agree class by class merge until no class changes,
+    after r rounds; S then acts on the c' classes as an injective S' fixing x' = π(x),
+    and x is periodic exactly when the labelling λ(x'_m) = m mod c' exists (README,
+    "Notes on exactness"). Then P0 = c'·L^(qr) is a period of x, and the least one
+    is the first return of x[0, P0) in x[0, 2·P0), the only letters read. Not
+    periodic is Aperiodic for a primitive σ, else NotPeriodic (a -> ab ; b -> bb).
+    """
+    fp = FixedPointSpec.find(sub)
+    images = [sub.expand(a, fp.power, _IMAGES_CAP // sub.size) for a in range(sub.size)]
+    cls, rounds = {a: a for a in _labelling(images, fp.seed, 1)}, 0  # the letters of x
+    while True:
+        keys = {a: tuple(cls[b] for b in images[a]) for a in cls}
+        ids = {key: i for i, key in enumerate(set(keys.values()))}
+        if len(ids) == len(set(cls.values())):
+            break
+        cls, rounds = {a: ids[keys[a]] for a in cls}, rounds + 1
+    classes = {cls[a]: key for a, key in keys.items()}
+    if _labelling(classes, cls[fp.seed], len(classes)) is None:
+        return AperiodicityResult("Aperiodic" if is_primitive(sub) else "NotPeriodic")
+    p0 = len(classes) * sub.length**(fp.power * rounds)
+    check_prefix(fp, 2 * p0)
+    w = bytes(factor(fp, 0, 2 * p0))
+    return AperiodicityResult("PeriodicDetected", period=w.find(w[:p0], 1))
 
 
 def height(sub: Substitution) -> int:
@@ -519,9 +515,9 @@ def height(sub: Substitution) -> int:
     if not is_primitive(sub):
         raise SubstitutionError("height needs a primitive substitution")
     fp = FixedPointSpec.find(sub)
-    images = [sub.expand(a, fp.power) for a in range(sub.size)]
+    images = [sub.expand(a, fp.power, _IMAGES_CAP // sub.size) for a in range(sub.size)]
     return next(n for n in range(sub.size, 0, -1)
-                if gcd(n, sub.length) == 1 and _has_labelling(images, fp.seed, n))
+                if gcd(n, sub.length) == 1 and _labelling(images, fp.seed, n) is not None)
 
 
 def substitution_power(sub: Substitution, n: int, cap: int = 1_000_000) -> Substitution:

@@ -27,7 +27,7 @@ def test_analyze_tm3():
     report = json.loads(cp.stdout)
     assert report["group"]["order"] == 3 and report["group"]["cyclic"]
     assert report["palindromicity"]["g_witness"] == "(0 2 1)"
-    assert report["aperiodicity"]["status"] == "AperiodicByCriterion"
+    assert report["aperiodicity"] == {"status": "Aperiodic", "period": None}
     assert report["recurrence"]["r_formula"] == str(2 * 3**66 - 3)  # decimal when it fits
 
 
@@ -58,7 +58,9 @@ def test_analyze_reports_the_detected_period():
     assert cp.returncode == 0, cp.stderr
     assert json.loads(cp.stdout)["aperiodicity"] == {"status": "PeriodicDetected", "period": 3}
     cp = run_cli("analyze", "--builtin", "rs")
-    assert json.loads(cp.stdout)["aperiodicity"] == {"status": "Unknown", "period": None}
+    assert json.loads(cp.stdout)["aperiodicity"] == {"status": "Aperiodic", "period": None}
+    cp = run_cli("analyze", "--rules", "a -> ab ; b -> bb")  # a b^inf: eventually periodic
+    assert json.loads(cp.stdout)["aperiodicity"] == {"status": "NotPeriodic", "period": None}
 
 
 def test_analyze_r_formula_over_the_decimal_digit_limit():
@@ -124,6 +126,24 @@ def test_malformed_json_source_exit_1(source):
     cp = run_cli("analyze", "--rules", source)
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: ") and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("source", [
+    '{"modulus": 2, "matrix": [[0, 0], [0, 1.9]]}',  # was read as rs
+    '{"modulus": 2, "matrix": [[0, 0], [0, true]]}',
+    '{"modulus": "2", "matrix": [[0, 0], [0, 1]]}',
+    '{"modulus": 2, "matrix": [[0, 0], [0, 1]], "digits": 2.0}',
+    '{"modulus": 2, "matrix": [[0, 0], [0, 1]], "digits": null}',
+    '{"modulus": 2, "matrix": [[0, 0], [0, 1]], "modulus": 3}',  # the last modulus won
+    '{"modulus": 2, "matrix": [[0, 0], [0, 1]], "spins": 2}',
+    '{"modulus": 2, "matrix": [0, 1]}',
+    '{"matrix": [[0, 0], [0, 1]]}',
+], ids=["float", "bool", "string", "float-digits", "null-digits", "repeated", "extra-key",
+        "flat", "no-modulus"])
+def test_malformed_spin_matrix_json_exit_1(source):
+    cp = run_cli("analyze", "--rules", source)
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr.startswith("error: bad spin matrix JSON") and "Traceback" not in cp.stderr
 
 
 def test_oversized_builtin_exit_1_at_once():
@@ -368,6 +388,18 @@ def test_prefix_to_a_closed_pipe_ends_quietly(fmt):
     assert err == b""
     want = b"# apword" if fmt == "text" else prefix(get_builtin("rs").fixed_point(), 20).tobytes()
     assert len(head) == 20 and head.startswith(want)
+
+
+@pytest.mark.parametrize("source", [
+    '{"0": "x", "1": "y", "1": "x"}',  # was the constant coding, and A(d) = 2^26
+    '{"0": "x", "1": "y", "2": "z"}',  # 2 is no letter of tm:2
+])
+def test_coding_file_needs_each_letter_once_exit_1(tmp_path: Path, source):
+    coding = tmp_path / "coding.json"
+    coding.write_text(source)
+    cp = run_cli("apscan", "--builtin", "tm:2", "--coding", str(coding), "--range", "1:2")
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr.startswith("error: coding keys") and "repeat a letter or name no" in cp.stderr
 
 
 @pytest.mark.parametrize("symbols", [[0, 1], ["x", ""], ["x", "y z"], ["x", None]])

@@ -14,6 +14,7 @@ import apword.stream
 import apword.substitution
 from apword import (
     Alphabet,
+    AperiodicityResult,
     FixedPointSpec,
     ParseError,
     ResourceCapError,
@@ -39,9 +40,7 @@ from apword import (
 from apword.spin import spin_system_from_json
 from apword.substitution import (
     _legal_index_words,
-    _two_words_share_an_end,
     base_digits,
-    is_bijective,
     star_defect,
     substitution_power,
 )
@@ -52,11 +51,11 @@ SCANNED = ["a4-example", "c3-invpal", "hadamard4", "outlook6", "rs", "s3-noninvp
            "supersub5", "tm:2", "tm:3", "vandermonde:3", "vandermonde:5"]
 
 
-def random_primitive_substitutions(seed: int, count: int):
-    """count seeded random primitive substitutions with 2 <= c, L <= 5."""
+def random_primitive_substitutions(seed: int, count: int, max_c: int = 5, max_L: int = 5):
+    """count seeded random primitive substitutions with 2 <= c <= max_c, 2 <= L <= max_L."""
     rng = random.Random(seed)
     while count:
-        c, L = rng.randint(2, 5), rng.randint(2, 5)
+        c, L = rng.randint(2, max_c), rng.randint(2, max_L)
         rules = tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c))
         sub = Substitution(Alphabet(tuple("abcde"[:c])), rules)
         if is_primitive(sub):
@@ -151,9 +150,8 @@ def min_period_by_borders(seq) -> int:
 
 def certificate_by_borders(sub: Substitution, n: int = 2**20) -> tuple[str, int | None]:
     """Reference (status, period): the least period P of x[0, n) by the border loop,
-    accepted when P <= n/2 and sigma^q maps x[0, P) to L^q copies of itself."""
-    if is_primitive(sub) and is_bijective(sub) and _two_words_share_an_end(sub):
-        return "AperiodicByCriterion", None
+    accepted when P <= n/2 and sigma^q maps x[0, P) to L^q copies of itself. So it is
+    ("PeriodicDetected", P) exactly when x has least period P <= n/2."""
     fp = FixedPointSpec.find(sub)
     w = prefix(fp, n).tolist()
     p = min_period_by_borders(w)
@@ -248,7 +246,7 @@ def _traced_peak(make) -> int:
     lambda: get_builtin("vandermonde:100"),
     lambda: get_builtin("vandermonde:100000"),
     lambda: build_spin_substitution(spin_system_from_json(
-        {"modulus": 100000, "matrix": [[0, 0], [0, 1]]})),
+        (("modulus", 100000), ("matrix", [[0, 0], [0, 1]])))),
     lambda: get_builtin("tm:257"),
     lambda: get_builtin("vandermonde:17"),
     lambda: build_spin_substitution(SpinSystem(129, ((0, 0), (0, 1)))),
@@ -622,11 +620,11 @@ def test_star_defect_names_the_first_failed_condition(sub, defect):
 
 
 def test_aperiodicity():
-    assert aperiodicity_certificate(TM).status == "AperiodicByCriterion"
+    assert aperiodicity_certificate(TM).status == "Aperiodic"
     res = aperiodicity_certificate(parse_substitution("a -> ab ; b -> ab"))
     assert res.status == "PeriodicDetected" and res.period == 2
     res = aperiodicity_certificate(get_builtin("outlook6").substitution)
-    assert res.status == "Unknown"
+    assert res.status == "Aperiodic"
 
 
 def test_aperiodicity_checks_a_period_with_the_power_of_the_fixed_point():
@@ -637,6 +635,34 @@ def test_aperiodicity_checks_a_period_with_the_power_of_the_fixed_point():
     assert res.status == "PeriodicDetected" and res.period == 2
 
 
+@pytest.mark.parametrize("rules, status, period", [
+    ("a -> ab ; b -> bb", "NotPeriodic", None),  # a b^inf is eventually periodic
+    ("a -> abc ; b -> ccc ; c -> ccc", "NotPeriodic", None),  # b and c merge, a does not
+    ("a -> aa ; b -> bb", "PeriodicDetected", 1),  # b does not occur in a^inf
+])
+def test_aperiodicity_of_non_primitive_substitutions(rules, status, period):
+    res = aperiodicity_certificate(parse_substitution(rules))
+    assert (res.status, res.period) == (status, period)
+
+
+def test_aperiodicity_reads_no_prefix_and_refuses_oversized_work(monkeypatch):
+    monkeypatch.setattr(apword.stream, "factor", refuse)
+    monkeypatch.setattr(apword.substitution, "factor", refuse)
+    for name in ["rs", "outlook6", "tm:16", "vandermonde:5"]:
+        assert aperiodicity_certificate(get_builtin(name).substitution).status == "Aperiodic"
+    # x has the proven period 2^30, and reading x[0, 2^31) is refused before any letter
+    with pytest.raises(ResourceCapError, match="prefix of 2147483648 letters exceeds cap"):
+        aperiodicity_certificate(nested_returns(31))
+    # x = σ^23(x), and the 23 images σ^23(a) of 2^23 letters each are refused unbuilt
+    cycle = Substitution(Alphabet(tuple(f"x{k}" for k in range(23))),
+                         tuple(((k + 1) % 23, k) for k in range(23)))
+    assert FixedPointSpec.find(cycle).power == 23
+    with pytest.raises(ResourceCapError, match="expansion of size 2\\^23"):
+        aperiodicity_certificate(cycle)
+    with pytest.raises(ResourceCapError, match="expansion of size 2\\^23"):
+        height(cycle)
+
+
 def nested_returns(e: int) -> Substitution:
     """x_k -> x_min(k+1, e-1) x_0; the fixed point from x_(e-1) has least period 2^(e-1)."""
     return Substitution(Alphabet(tuple(f"x{k}" for k in range(e))),
@@ -645,10 +671,10 @@ def nested_returns(e: int) -> Substitution:
 
 @pytest.mark.parametrize("name", SCANNED + ["supersub6", "tm:5", "tm:9"])
 def test_aperiodicity_of_builtins_matches_the_border_loop(name):
+    # every builtin is aperiodic, and no prefix period of at most 2^19 survives the check
     sub = get_builtin(name).substitution
-    res = aperiodicity_certificate(sub)
-    assert res.status != "PeriodicDetected"
-    assert (res.status, res.period) == certificate_by_borders(sub)
+    assert aperiodicity_certificate(sub) == AperiodicityResult("Aperiodic")
+    assert certificate_by_borders(sub) == ("Unknown", None)
 
 
 @pytest.mark.parametrize("sub, status, period", [
@@ -658,32 +684,40 @@ def test_aperiodicity_of_builtins_matches_the_border_loop(name):
     (parse_substitution("a -> ab ; b -> ac ; c -> ac"), "PeriodicDetected", 4),
     (parse_substitution("a -> aab ; b -> aab"), "PeriodicDetected", 3),
     (nested_returns(19), "PeriodicDetected", 2**18),
-    (nested_returns(20), "PeriodicDetected", 2**19),  # n/2: the half-prefix returns at its end
-    (nested_returns(21), "Unknown", None),  # period 2^20 = n
-    # x[0, 2^20) has period 1100 and x does not: the first return is refused by the check
+    (nested_returns(20), "PeriodicDetected", 2**19),
+    (nested_returns(21), "PeriodicDetected", 2**20),  # over the half of a 2^20 prefix
+    # x[0, 2^20) has period 1100 and x does not
     (parse_substitution(f"a -> {'a' * 1099}b ; b -> {'a' * 1099}c ; c -> {'a' * 1100}"),
-     "Unknown", None),
+     "Aperiodic", None),
 ], ids=["ab-ab", "bab-aba", "abc", "period-4", "aab", "e19", "e20", "e21", "a1099"])
 def test_aperiodicity_matches_the_border_loop(sub, status, period):
     res = aperiodicity_certificate(sub)
-    assert (res.status, res.period) == (status, period) == certificate_by_borders(sub)
+    assert (res.status, res.period) == (status, period)
+    n = max(2**20, 2 * (period or 0))  # the border loop finds periods of at most n/2
+    assert certificate_by_borders(sub, n) == (("Unknown", None) if period is None else
+                                              (status, period))
 
 
-@pytest.mark.parametrize("n", [64, 2**12])
-def test_aperiodicity_matches_the_border_loop_at_random(monkeypatch, n):
-    # the first return equals the border loop's answer at every even prefix
-    # length; a short one makes prefix periods that x lacks common
-    monkeypatch.setattr(apword.substitution, "_DETECTOR_PREFIX", n)
-    rng = random.Random(536)
+def test_aperiodicity_matches_the_border_loop_at_random():
+    # where x has a least period P <= n/2, the border loop finds it on x[0, n); where
+    # it finds none, x is not periodic or P > n/2; and not periodic is aperiodic
+    # exactly for a primitive substitution
+    n, rng = 2**14, random.Random(7)
     statuses = []
-    for _ in range(600):
+    for _ in range(3000):
         c, L = rng.randint(1, 4), rng.randint(2, 4)
         sub = Substitution(Alphabet(tuple("abcd"[:c])),
                            tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c)))
         res = aperiodicity_certificate(sub)
-        assert (res.status, res.period) == certificate_by_borders(sub, n), sub.rules
+        periodic = res.status == "PeriodicDetected"
+        assert certificate_by_borders(sub, n) == (
+            (res.status, res.period) if periodic and res.period <= n // 2 else ("Unknown", None)
+        ), sub.rules
+        if not periodic:
+            assert res == AperiodicityResult("Aperiodic" if is_primitive(sub) else "NotPeriodic")
         statuses.append(res.status)
-    assert statuses.count("PeriodicDetected") > 200 and statuses.count("Unknown") > 300
+    assert [statuses.count(s) for s in ("PeriodicDetected", "Aperiodic", "NotPeriodic")] == \
+        [1189, 1411, 400]
 
 
 def test_height():
@@ -717,8 +751,18 @@ def test_height_matches_the_prefix_gcd():
     assert any(rule > 1 for rule, _ in heights)
 
 
+def test_height_matches_the_prefix_gcd_on_small_substitutions():
+    # the labelling that decides periodicity, on the sizes where heights 2 and 3 and
+    # fixed points of σ^2 and σ^3 are common enough to be met
+    seen = set()
+    for sub in random_primitive_substitutions(4, 2000, max_c=4, max_L=4):
+        assert height(sub) == height_by_prefix(sub, 2**14), sub.rules
+        seen.add((height(sub), FixedPointSpec.find(sub).power))
+    assert {(2, 1), (2, 2), (3, 1), (3, 2)} <= seen
+
+
 def test_height_and_recurrence_read_no_prefix(monkeypatch):
-    monkeypatch.setattr(apword.substitution, "prefix", refuse)
+    assert not hasattr(apword.substitution, "prefix")
     monkeypatch.setattr(apword.stream, "prefix", refuse)
     sub = get_builtin("rs").substitution
     assert height(sub) == 1
