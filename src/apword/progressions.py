@@ -23,8 +23,8 @@ from .groups import (
     palindromicity,
 )
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
-from .stream import (Coding, FixedPointSpec, _level, _level_windows, _orbit_windows, _two_words,
-                     ceil_log, check_prefix, factor)
+from .stream import (PREFIX_CAP, Coding, FixedPointSpec, _level, _level_windows, _orbit_windows,
+                     _two_words, ceil_log, check_prefix, factor)
 from .substitution import (
     Substitution,
     column,
@@ -336,8 +336,12 @@ class PrefixSource:
         return self._pack(((0, n),))
 
     def level(self, k: int) -> PackedWord:
-        """The windows _orbit_windows(fp, coding, k), packed: one 2-word per orbit."""
-        return self._pack(_orbit_windows(self.fp, self.coding, k))
+        """The windows _orbit_windows(fp, coding, k), packed: one 2-word per orbit. Windows
+        of more than PREFIX_CAP letters are refused before any is packed."""
+        windows = _orbit_windows(self.fp, self.coding, k)
+        if (n := sum(b - a for a, b in windows)) > PREFIX_CAP:
+            raise ResourceCapError(f"level-{k} windows of {n} letters exceed cap {PREFIX_CAP}")
+        return self._pack(windows)
 
     def _pack(self, factors) -> PackedWord:
         if factors not in self._packed:

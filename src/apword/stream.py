@@ -16,6 +16,7 @@ if TYPE_CHECKING:
     from .substitution import Substitution
 
 PREFIX_CAP = 2**30
+_TWO_WORD_CAP = 2**24  # most phase steps p·c²·L that the 2-words of σ^p(x) = x take
 MAX_DENSE_ALPHABET = 256  # letters and coding symbols are uint8 indices in bulk arrays
 
 
@@ -111,14 +112,8 @@ class FixedPointSpec:
                     f"letter {sub.alphabet.letters[idx]!r} starts no fixed point of any power"
                 )
             return cls(sub, idx, p)
-        best = None
-        for a in range(sub.size):
-            p = _cycle_length(sub, a)
-            if p is not None and (best is None or p < best[0]):
-                best = (p, a)
-        if best is None:  # unreachable: the first column always has a cycle
-            raise SubstitutionError("no fixed point of any power")
-        return cls(sub, best[1], best[0])
+        p, a = min((_cycle_length(sub, a) or sub.size + 1, a) for a in range(sub.size))
+        return cls(sub, a, p)  # the first column has a cycle, so p <= c
 
 
 def letter_index_at(fp: FixedPointSpec, n: int) -> int:
@@ -235,21 +230,25 @@ def prefix(fp: FixedPointSpec, length: int, coding: Coding | None = None,
 def _two_words(fp: FixedPointSpec) -> MappingProxyType:
     """W2, the 2-words of x = σ^p(x), each mapped to the index of its first occurrence.
 
-    For m = i·L^p + j with j < L^p, x[m, m+2) = σ^p(x_i x_{i+1})[j, j+2), so the
-    first occurrence of a 2-word is the least first(uv)·L^p + j over the 2-words
-    uv and offsets j that give it: shortest paths from x_0 x_1, read off the rules.
+    The phases y_t = σ^t(x), t mod p, have y_(t+1)[iL+j, +2) = σ(y_t[i, i+2))[j, j+2)
+    for j < L, and y_p = x. As i -> iL + j never decreases, Dijkstra over the
+    states (t, uv) from (0, x_0 x_1) at 0 settles each at its first position in
+    y_t; W2 is phase 0. Its p·c²·L steps are checked against a cap first.
     """
-    images = [fp.sub.expand(a, fp.power) for a in range(fp.sub.size)]
-    first, heap = {}, [(0, fp.seed, images[fp.seed][1])]
+    check_prefix(fp, 2)
+    rules, L, p = fp.sub.rules, fp.sub.length, fp.power
+    if (work := p * fp.sub.size**2 * L) > _TWO_WORD_CAP:
+        raise ResourceCapError(f"2-words of {work} phase steps exceed cap {_TWO_WORD_CAP}")
+    first, heap = {}, [(0, 0, fp.seed, letter_index_at(fp, 1))]  # (t, u, v) -> least i
     while heap:
-        i, a, b = heapq.heappop(heap)
-        if (a, b) not in first:
-            first[a, b] = i
-            w = images[a] + images[b]
-            for j in range(len(images[a])):
-                if (w[j], w[j + 1]) not in first:  # a popped 2-word is settled
-                    heapq.heappush(heap, (i * len(images[a]) + j, w[j], w[j + 1]))
-    return MappingProxyType(first)
+        i, t, a, b = heapq.heappop(heap)
+        if (t, a, b) not in first:
+            first[t, a, b] = i
+            w, t = rules[a] + rules[b], (t + 1) % p
+            for j in range(L):
+                if (t, w[j], w[j + 1]) not in first:  # a popped state is settled
+                    heapq.heappush(heap, (i * L + j, t, w[j], w[j + 1]))
+    return MappingProxyType({(a, b): i for (t, a, b), i in first.items() if t == 0})
 
 
 def _merged_windows(firsts, B: int) -> tuple[tuple[int, int], ...]:

@@ -10,16 +10,10 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
-from .stream import (FixedPointSpec, _level, _level_windows, base_digits, ceil_log,
-                     check_prefix, check_tokens, factor)
+from .stream import (FixedPointSpec, _level, _level_windows, _two_words, base_digits,
+                     ceil_log, check_prefix, check_tokens, factor)
 
 _RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
-_IMAGES_CAP = 2**22  # most letters of the images σ^q(a) that height and periodicity read
-
-
-def wielandt_cap(n: int) -> int:
-    """Exponent cap after which a primitive 0/1 matrix power must be positive."""
-    return n * n - 2 * n + 2
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +190,11 @@ def _strings(value) -> bool:
 def json_substitution(data: tuple) -> Substitution:
     """A JSON mirror {"alphabet": [...], "rules": {...}} under the text checks: `alphabet`
     is the @alphabet header (the sorted rule letters when missing or empty), and a rule
-    word is a string, split as in text, or a list of letter tokens."""
+    word is a string, split as in text, or a list of letter tokens. No key repeats, and
+    there is no other key."""
     fields = dict(data)
+    if len(fields) != len(data) or not fields.keys() <= {"alphabet", "rules"}:
+        raise ParseError(f"JSON substitution keys {[k for k, _ in data]} repeat or are unknown")
     rules, header = fields.get("rules"), fields.get("alphabet") or None
     if not isinstance(rules, tuple) or not (header is None or _strings(header)):
         raise ParseError("JSON substitution needs a 'rules' object and an 'alphabet' string list")
@@ -275,22 +272,34 @@ def power_column(sub: Substitution, k: int, n: int) -> ColumnMap:
     return ColumnMap(tuple(image))
 
 
-def is_primitive(sub: Substitution) -> bool:
-    """Some power of the incidence matrix is entrywise positive.
+def _cycle_gcd(edges, root) -> tuple[list, int]:
+    """The vertices reached from root along the edges (a, b), and g, the gcd of
+    depth(a) + 1 - depth(b) over their edges, for the depths of a breadth-first tree.
 
-    Boolean squaring up to the Wielandt cap; positivity is monotone here
-    because every row of the incidence matrix is non-empty.
+    The tree edges fix a labelling λ(root) = 0, λ(b) = λ(a) + 1 mod n as depth mod n,
+    so one exists on the reached vertices exactly when n divides g. On a strongly
+    connected graph, g is the gcd of the cycle lengths.
     """
-    c = sub.size
-    if c == 1:
-        return True
-    reach = [frozenset(rule) for rule in sub.rules]
-    cap = wielandt_cap(c)
-    steps = 1
-    while steps < cap:
-        reach = [frozenset().union(*(reach[b] for b in row)) for row in reach]
-        steps *= 2
-    return all(len(row) == c for row in reach)
+    out, depth, reached, g = {}, {root: 0}, [root], 0
+    for a, b in edges:
+        out.setdefault(a, []).append(b)
+    for a in reached:  # reached grows, in breadth-first order, while it is read
+        for b in out.get(a, ()):
+            if b not in depth:
+                depth[b] = depth[a] + 1
+                reached.append(b)
+            g = gcd(g, depth[a] + 1 - depth[b])
+    return reached, g
+
+
+def is_primitive(sub: Substitution) -> bool:
+    """Some power of the incidence matrix is entrywise positive: the letter digraph
+    a -> b, b in σ(a), reaches every letter from letter 0 forwards and backwards,
+    and its cycle lengths have gcd 1 (Perron–Frobenius)."""
+    edges = {(a, b) for a, rule in enumerate(sub.rules) for b in rule}
+    forward, g = _cycle_gcd(edges, 0)
+    backward, _ = _cycle_gcd({(b, a) for a, b in edges}, 0)
+    return g == 1 and len(forward) == len(backward) == sub.size
 
 
 @lru_cache(maxsize=None)
@@ -459,45 +468,33 @@ def star_defect(sub: Substitution) -> str | None:
     return None
 
 
-def _labelling(images, seed: int, n: int) -> dict | None:
-    """The labels λ(seed) = 0 and λ(images[a][j]) = λ(a)·len(images[a]) + j mod n of
-    the letters reached from the seed, or None when they clash."""
-    label, todo = {seed: 0}, [seed]
-    while todo:
-        a = todo.pop()
-        for j, b in enumerate(images[a]):
-            ell = (label[a] * len(images[a]) + j) % n
-            if b not in label:
-                label[b] = ell
-                todo.append(b)
-            elif label[b] != ell:
-                return None
-    return label
-
-
 def aperiodicity_certificate(sub: Substitution) -> AperiodicityResult:
     """Decide from the rules whether the fixed point x = S(x), S = σ^q, is periodic.
 
-    Letters of x whose S-images agree class by class merge until no class changes,
-    after r rounds; S then acts on the c' classes as an injective S' fixing x' = π(x),
-    and x is periodic exactly when the labelling λ(x'_m) = m mod c' exists (README,
-    "Notes on exactness"). Then P0 = c'·L^(qr) is a period of x, and the least one
-    is the first return of x[0, P0) in x[0, 2·P0), the only letters read. Not
-    periodic is Aperiodic for a primitive σ, else NotPeriodic (a -> ab ; b -> bb).
+    With P_s the classes a ~_s b of σ^s(a) = σ^s(b), and r the least with as many
+    classes of P_(qr) as of P_(q(r+1)) among the letters of x, x is periodic exactly
+    when their number c' divides the cycle gcd of the class 2-words π(W2); then
+    P0 = c'·L^(qr) is a period (README, "Notes on exactness"), and the least is the
+    first return of x[0, P0) in x[0, 2·P0), the only letters read. Not periodic is
+    Aperiodic for a primitive σ, else NotPeriodic (a -> ab ; b -> bb).
     """
-    fp = FixedPointSpec.find(sub)
-    images = [sub.expand(a, fp.power, _IMAGES_CAP // sub.size) for a in range(sub.size)]
-    cls, rounds = {a: a for a in _labelling(images, fp.seed, 1)}, 0  # the letters of x
-    while True:
-        keys = {a: tuple(cls[b] for b in images[a]) for a in cls}
-        ids = {key: i for i, key in enumerate(set(keys.values()))}
-        if len(ids) == len(set(cls.values())):
-            break
-        cls, rounds = {a: ids[keys[a]] for a in cls}, rounds + 1
-    classes = {cls[a]: key for a, key in keys.items()}
-    if _labelling(classes, cls[fp.seed], len(classes)) is None:
+    fp, chain = FixedPointSpec.find(sub), [tuple(range(sub.size))]  # P_0, P_1, … as class ids
+    words = _two_words(fp)  # its cap on q·c²·L also bounds the q·c steps of c·L below
+    letters, q, r = {a for a, _ in words}, fp.power, 0
+
+    def count(s: int) -> int:  # the classes of P_s among the letters of x
+        while len(chain) <= s:  # a ~_(s+1) b when σ(a), σ(b) agree class by class in P_s
+            ids = {}
+            chain.append(tuple(ids.setdefault(tuple(chain[-1][b] for b in rule), len(ids))
+                               for rule in sub.rules))
+        return len({chain[s][a] for a in letters})
+
+    while count(q * r) != count(q * (r + 1)):
+        r += 1
+    cls = chain[q * r]
+    if _cycle_gcd({(cls[a], cls[b]) for a, b in words}, cls[fp.seed])[1] % count(q * r):
         return AperiodicityResult("Aperiodic" if is_primitive(sub) else "NotPeriodic")
-    p0 = len(classes) * sub.length**(fp.power * rounds)
+    p0 = count(q * r) * sub.length**(q * r)
     check_prefix(fp, 2 * p0)
     w = bytes(factor(fp, 0, 2 * p0))
     return AperiodicityResult("PeriodicDetected", period=w.find(w[:p0], 1))
@@ -505,7 +502,8 @@ def aperiodicity_certificate(sub: Substitution) -> AperiodicityResult:
 
 def height(sub: Substitution) -> int:
     """Dekking's height of x = σ^p(x): the largest n <= c coprime to L with a
-    labelling λ(seed) = 0, λ(σ^p(a)_j) = λ(a)·L^p + j mod n of the letters.
+    labelling λ(x_m) = m mod n of the letters, that is, λ(b) = λ(a) + 1 mod n on
+    every 2-word ab of x: n divides the cycle gcd of W2 from the seed.
 
     A labelling puts each letter at positions of one residue mod n, so n divides
     gcd{m > 0 : x_m = x_0}, and positions 0 .. n-1 hold distinct letters, so n <= c.
@@ -515,9 +513,8 @@ def height(sub: Substitution) -> int:
     if not is_primitive(sub):
         raise SubstitutionError("height needs a primitive substitution")
     fp = FixedPointSpec.find(sub)
-    images = [sub.expand(a, fp.power, _IMAGES_CAP // sub.size) for a in range(sub.size)]
-    return next(n for n in range(sub.size, 0, -1)
-                if gcd(n, sub.length) == 1 and _labelling(images, fp.seed, n) is not None)
+    g = _cycle_gcd(_two_words(fp), fp.seed)[1]
+    return next(n for n in range(sub.size, 0, -1) if gcd(n, sub.length) == 1 and g % n == 0)
 
 
 def substitution_power(sub: Substitution, n: int, cap: int = 1_000_000) -> Substitution:

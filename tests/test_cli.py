@@ -119,6 +119,8 @@ SPIN = '"matrix": [[0, 0], [0, 1]], "modulus": 2'
     '{"rules": {"a": [["a"], "b"], "b": "ba"}}',
     '{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "ba", "c": "cc"}}',  # c was dropped
     '{"rules": {"a": "ab", "b": "ba", "a": "aa"}}',  # the last rule for a won
+    # the last rules won, and the misspelt key was ignored
+    '{"rules": {"a": "ab", "b": "ba"}, "rules": {"a": "aa", "b": "bb"}, "alfabet": ["q"]}',
     "{" + SPIN + ', "digits": "x"}',
     "{" + SPIN + ', "digits": [2]}',
 ])

@@ -500,6 +500,22 @@ def test_prefix_source_checks_the_cap_before_allocating():
     assert word.n == 100 and np.array_equal(word.planes, want.planes)
 
 
+def test_prefix_source_checks_the_level_cap_before_allocating():
+    # tm:64 has level-4 windows of 2^31 letters, which took 3.3 s to pack, and level-8
+    # windows of 2^55, which NumPy refused as a 24 PiB array
+    src = PrefixSource(get_builtin("tm:64").fixed_point())
+    assert src.level(1).n == 64 * 128  # 64 orbits of 2-words, a 128-letter window each
+    tracemalloc.start()
+    try:
+        for k, letters in [(4, 2**31), (8, 2**55)]:
+            with pytest.raises(ResourceCapError, match=f"level-{k} windows of {letters} "
+                                                       f"letters exceed cap {PREFIX_CAP}"):
+                src.level(k)
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+
+
 def plane_bits(word: PackedWord) -> np.ndarray:
     """Bit i of row b is bit i of plane b, for every bit the planes hold."""
     return np.unpackbits(word.planes.view(np.uint8), axis=1, bitorder="little")

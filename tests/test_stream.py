@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from apword import (
     prefix,
     spin_coding,
 )
-from apword.stream import _block_table, _cycle_length
+from apword.stream import _block_table, _cycle_length, _two_words
 
 BUILTINS = ["tm:2", "tm:3", "tm:5", "rs", "hadamard4", "vandermonde:3", "outlook6",
             "a4-example", "c3-invpal", "s3-noninvpal", "supersub5", "supersub6",
@@ -347,3 +348,60 @@ def test_factor_rejects_empty_and_negative_spans():
     assert list(factor(one, 0, 1)) == [one.seed]
     with pytest.raises(SubstitutionError):  # the fixed point is the seed alone
         factor(one, 1, 2)
+
+
+def two_words_by_images(fp):
+    """Reference W2 of x = σ^p(x), first occurrence of each: for m = i·L^p + j with
+    j < L^p, x[m, m+2) = σ^p(x_i x_{i+1})[j, j+2), so the first occurrences are the
+    shortest paths from x_0 x_1 over the images σ^p(a), each built in full."""
+    images = [fp.sub.expand(a, fp.power) for a in range(fp.sub.size)]
+    first, heap = {}, [(0, fp.seed, images[fp.seed][1])]
+    while heap:
+        i, a, b = heapq.heappop(heap)
+        if (a, b) not in first:
+            first[a, b] = i
+            w = images[a] + images[b]
+            for j in range(len(images[a])):
+                heapq.heappush(heap, (i * len(images[a]) + j, w[j], w[j + 1]))
+    return first
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["tm:9", "tm:16"])
+def test_two_words_of_builtins_match_the_images_of_the_power(name):
+    fp = get_builtin(name).fixed_point()
+    assert list(_two_words(fp).items()) == list(two_words_by_images(fp).items())
+
+
+def test_two_words_match_the_images_of_the_power_at_random():
+    # the phases σ^t(x), t < p, give the first occurrences, in order, that the
+    # images σ^p(a) give, also for a seed taken at twice its cycle length
+    rng = random.Random(30)
+    powers = []
+    for _ in range(3000):
+        c, L = rng.randint(1, 4), rng.randint(2, 4)
+        rules = tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c))
+        sub = Substitution(Alphabet(tuple("abcd"[:c])), rules)
+        seed = rng.choice([a for a in range(c) if _cycle_length(sub, a) is not None])
+        fp = FixedPointSpec(sub, seed, _cycle_length(sub, seed) * rng.randint(1, 2))
+        assert list(_two_words(fp).items()) == list(two_words_by_images(fp).items()), fp
+        powers.append(fp.power)
+    assert sum(p > 1 for p in powers) == 1929
+
+
+def test_two_words_refuse_oversized_work_before_any_state(monkeypatch):
+    # p·c²·L phase steps: 2^24 for tm:256 is admitted, 2^25 for a 256-letter cycle is not
+    def refuse(*args):
+        raise AssertionError("a state was made")
+
+    monkeypatch.setattr(heapq, "heappop", refuse)
+    with pytest.raises(AssertionError, match="a state was made"):
+        _two_words.__wrapped__(get_builtin("tm:256").fixed_point())
+    cycle = Substitution(Alphabet(tuple(f"x{k}" for k in range(256))),
+                         tuple(((k + 1) % 256, k) for k in range(256)))
+    with pytest.raises(ResourceCapError, match="2-words of 33554432 phase steps exceed cap"):
+        _two_words.__wrapped__(FixedPointSpec.find(cycle))
+
+
+def test_two_words_of_a_length_one_substitution_raise():
+    with pytest.raises(SubstitutionError, match="one-letter fixed point"):
+        _two_words(FixedPointSpec.find(parse_substitution("a -> b ; b -> a")))

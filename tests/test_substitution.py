@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import json
 import random
@@ -69,7 +70,7 @@ def random_substitutions(seed: int, max_c: int, max_L: int):
     while True:
         c, L = rng.randint(1, max_c), rng.randint(1, max_L)
         rules = tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c))
-        yield Substitution(Alphabet(tuple("abcdef"[:c])), rules)
+        yield Substitution(Alphabet(tuple("abcdefg"[:c])), rules)
 
 
 def pair_cover_power_by_letter_sets(sub: Substitution) -> int:
@@ -213,6 +214,11 @@ def test_parse_comments_newlines_header():
     ('{"rules": {"a": "ab", "b": "ba"}, "alphabet": ["a", "a", "b"]}',
      "duplicate letters in ('a', 'a', 'b')"),
     ('{"rules": {"a": "ab"', "bad JSON source: "),
+    # a repeated or unknown top-level key was read as the last one, or not at all
+    ('{"rules": {"a": "ab", "b": "ba"}, "rules": {"a": "aa", "b": "bb"}}',
+     "keys ['rules', 'rules'] repeat or are unknown"),
+    ('{"rules": {"a": "ab", "b": "ba"}, "alfabet": ["q"]}',
+     "keys ['rules', 'alfabet'] repeat or are unknown"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError) as err:
@@ -431,7 +437,11 @@ def test_power_column_range_check():
 
 def test_is_primitive():
     assert is_primitive(TM)
+    assert is_primitive(parse_substitution("a -> a"))
     assert not is_primitive(parse_substitution("a -> aa ; b -> bb"))
+    assert not is_primitive(parse_substitution("a -> ab ; b -> bb"))  # a is reached from b only
+    assert not is_primitive(parse_substitution("a -> b ; b -> a"))  # its cycles have gcd 2
+    assert not is_primitive(parse_substitution("a -> bb ; b -> aa"))
     assert is_primitive(get_builtin("outlook6").substitution)
     # oracle for the six-letter case: brute expansion contains every letter
     sub = get_builtin("outlook6").substitution
@@ -527,6 +537,31 @@ def test_recurrence_exact_known_n():
 
 ALL_BUILTINS = [name for name in builtin_names() if ":" not in name] + [
     "tm:2", "tm:3", "tm:5", "tm:9", "tm:16", "tm:32", "vandermonde:3", "vandermonde:5"]
+
+
+def primitive_by_squaring(sub: Substitution) -> bool:
+    """Reference: the incidence matrix to a power 2^k past the Wielandt exponent
+    c² - 2c + 2, by boolean squaring, is positive; no row is empty, so positivity moves
+    up from one power to the next."""
+    c = sub.size
+    reach, steps = [frozenset(rule) for rule in sub.rules], 1
+    while steps < c * c - 2 * c + 2:
+        reach = [frozenset().union(*(reach[b] for b in row)) for row in reach]
+        steps *= 2
+    return all(len(row) == c for row in reach)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS + ["vandermonde:7", "tm:64"])
+def test_is_primitive_of_builtins_matches_the_squaring(name):
+    sub = get_builtin(name).substitution
+    assert is_primitive(sub) == primitive_by_squaring(sub)
+
+
+def test_is_primitive_matches_the_squaring_at_random():
+    got = [(is_primitive(sub), primitive_by_squaring(sub))
+           for sub in itertools.islice(random_substitutions(31, 7, 4), 20000)]
+    assert all(rule == squared for rule, squared in got)
+    assert sum(rule for rule, _ in got) == 10688  # primitive, with 1 <= c <= 7 and 1 <= L <= 4
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -653,14 +688,22 @@ def test_aperiodicity_reads_no_prefix_and_refuses_oversized_work(monkeypatch):
     # x has the proven period 2^30, and reading x[0, 2^31) is refused before any letter
     with pytest.raises(ResourceCapError, match="prefix of 2147483648 letters exceeds cap"):
         aperiodicity_certificate(nested_returns(31))
-    # x = σ^23(x), and the 23 images σ^23(a) of 2^23 letters each are refused unbuilt
-    cycle = Substitution(Alphabet(tuple(f"x{k}" for k in range(23))),
-                         tuple(((k + 1) % 23, k) for k in range(23)))
+    # x = σ^23(x) is read phase by phase, with no image σ^23(a) of 2^23 letters
+    cycle = rotation_cycle(23)
     assert FixedPointSpec.find(cycle).power == 23
-    with pytest.raises(ResourceCapError, match="expansion of size 2\\^23"):
-        aperiodicity_certificate(cycle)
-    with pytest.raises(ResourceCapError, match="expansion of size 2\\^23"):
-        height(cycle)
+    assert aperiodicity_certificate(cycle) == AperiodicityResult("Aperiodic")
+    assert height(cycle) == 1
+    # the 256-letter cycle takes p·c²·L = 2^25 phase steps, refused before any state
+    monkeypatch.setattr(heapq, "heappop", refuse)
+    for check in (aperiodicity_certificate, height):
+        with pytest.raises(ResourceCapError, match="2-words of 33554432 phase steps exceed"):
+            check(rotation_cycle(256))
+
+
+def rotation_cycle(c: int) -> Substitution:
+    """x_k -> x_(k+1 mod c) x_k: primitive, and x = σ^c(x) for every seed."""
+    return Substitution(Alphabet(tuple(f"x{k}" for k in range(c))),
+                        tuple(((k + 1) % c, k) for k in range(c)))
 
 
 def nested_returns(e: int) -> Substitution:
@@ -744,6 +787,12 @@ def test_height_rejects_a_non_primitive_substitution():
     for rules in ("a -> aa ; b -> bb", "a -> ab ; b -> bb"):
         with pytest.raises(SubstitutionError, match="primitive"):
             height(parse_substitution(rules))
+
+
+def test_height_of_a_length_one_substitution_raises():
+    # x is the seed alone and has no 2-word, as in recurrence_constants
+    with pytest.raises(SubstitutionError, match="one-letter fixed point"):
+        height(parse_substitution("a -> a"))
 
 
 def test_height_matches_the_prefix_gcd():
