@@ -24,13 +24,12 @@ class Builtin:
     name: str
     description: str
     substitution: Substitution
-    seed: str
     spin: SpinSystem | None = None
     partition: tuple[tuple[str, ...], ...] | None = None
     column_positions: tuple[int, ...] | None = None
 
     def fixed_point(self) -> FixedPointSpec:
-        return FixedPointSpec.find(self.substitution, self.seed)
+        return FixedPointSpec.find(self.substitution)
 
     def codings(self) -> dict[str, Coding]:
         table = {}
@@ -59,8 +58,7 @@ def cyclic_shift_substitution(L: int) -> Substitution:
 
 
 def _spin_builtin(name: str, description: str, sys: SpinSystem) -> Builtin:
-    sub = build_spin_substitution(sys)
-    return Builtin(name, description, sub, sub.alphabet.letters[0], spin=sys)
+    return Builtin(name, description, build_spin_substitution(sys), spin=sys)
 
 
 _FIXED: dict[str, Builtin] = {}
@@ -74,21 +72,18 @@ _register(Builtin(
     "a4-example",
     "length-3 substitution on 4 letters whose columns generate a 12-element group",
     parse_substitution("0 -> 011 ; 1 -> 120 ; 2 -> 203 ; 3 -> 332"),
-    "0",
 ))
 
 _register(Builtin(
     "c3-invpal",
     "inverse-palindromic length-5 substitution with cyclic Abelian column group",
     parse_substitution("0 -> 02010 ; 1 -> 10121 ; 2 -> 21202"),
-    "0",
 ))
 
 _register(Builtin(
     "s3-noninvpal",
     "inverse-palindromic length-5 substitution with non-Abelian column group",
     parse_substitution("0 -> 01120 ; 1 -> 12001 ; 2 -> 20212"),
-    "0",
 ))
 
 _register(Builtin(
@@ -96,7 +91,6 @@ _register(Builtin(
     "five letters collapsing onto a bijective three-block quotient",
     parse_substitution(
         "a -> acdaec ; b -> babead ; c -> bacead ; d -> ddabca ; e -> edabca"),
-    "a",
     partition=(("a",), ("b", "c"), ("d", "e")),
 ))
 
@@ -105,7 +99,6 @@ _register(Builtin(
     "six letters with two columns pinning the first block to one letter",
     parse_substitution(
         "a -> abbabd ; b -> aabaac ; c -> cddcce ; d -> dccddf ; e -> effeea ; f -> fefefb"),
-    "a",
     partition=(("a", "b"), ("c", "d"), ("e", "f")),
     column_positions=(0, 3),
 ))
@@ -114,7 +107,6 @@ _register(Builtin(
     "outlook6",
     "non-bijective length-2 substitution with column number 2",
     parse_substitution("a -> ad ; b -> bc ; c -> ea ; d -> ab ; e -> bf ; f -> ba"),
-    "a",
 ))
 
 _register(_spin_builtin(
@@ -139,7 +131,7 @@ def get_builtin(name: str) -> Builtin:
             raise SubstitutionError(f"bad parameter in builtin name {name!r}") from None
         if head == "tm":
             return Builtin(name, f"cyclic shift substitution on {L} letters",
-                           cyclic_shift_substitution(L), "0")
+                           cyclic_shift_substitution(L))
         if head == "vandermonde":
             if L >= 2:  # L*L letters, refused before the L x L matrix is built
                 check_spin_letters(L, L)

@@ -77,11 +77,9 @@ def _load_target(args):
     data = read_json(source) if source.lstrip().startswith("{") else None
     if data is not None and "matrix" in dict(data):
         sys_ = spin_system_from_json(data)
-        sub = build_spin_substitution(sys_)
-        return Builtin("user-spin", "user spin system", sub,
-                       sub.alphabet.letters[0], spin=sys_)
+        return Builtin("user-spin", "user spin system", build_spin_substitution(sys_), spin=sys_)
     sub = parse_substitution(source) if data is None else json_substitution(data)
-    return Builtin("user", "user substitution", sub, sub.alphabet.letters[0])
+    return Builtin("user", "user substitution", sub)
 
 
 def _coding_for(builtin, name):

@@ -252,8 +252,15 @@ def _two_words(fp: FixedPointSpec) -> MappingProxyType:
 
 
 def _merged_windows(firsts, B: int) -> tuple[tuple[int, int], ...]:
-    """The windows [fB, (f+2)B) at the sorted first occurrences f, merged where they
-    overlap or touch."""
+    """The windows [fB, (f+2)B) at the sorted first occurrences f of some 2-words of x,
+    merged where they overlap or touch, so they cover the blocks f and f + 1 of B letters.
+
+    With B = L**k for k a multiple of fp.power, x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A
+    factor of at most B + 1 letters starting at s in block i = s // B lies in
+    x[iB, (i+2)B), and so does its copy at fB + s - iB in x[fB, (f+2)B), for
+    f <= i the first occurrence of x_i x_{i+1}: the windows of all the 2-words hold
+    a copy of every such factor, starting no later than it.
+    """
     windows = []
     for f in firsts:
         if windows and f * B <= windows[-1][1]:
@@ -263,97 +270,10 @@ def _merged_windows(firsts, B: int) -> tuple[tuple[int, int], ...]:
     return tuple(windows)
 
 
-@lru_cache(maxsize=None)
-def _level_windows(fp: FixedPointSpec, k: int) -> tuple[tuple[int, int], ...]:
-    """The windows [fB, (f+2)B) at the first occurrences f of the 2-words, B = L**k, merged
-    where they overlap or touch. They hold a copy of every factor of at most
-    B + 1 letters of x, starting no later than it.
-
-    k is a multiple of fp.power, so x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A
-    factor starting at s in block i = s // B lies in x[iB, (i+2)B), and so
-    does its copy at fB + s - iB in x[fB, (f+2)B), for f <= i the first
-    occurrence of x_i x_{i+1}.
-    """
-    return _merged_windows(sorted(_two_words(fp).values()), fp.sub.length**k)
-
-
-@lru_cache(maxsize=None)
-def _symmetries(fp: FixedPointSpec, coding: Coding | None) -> tuple[tuple[int, ...], ...]:
-    """The letter permutations τ with τ∘σ = σ∘τ that map the 2-words of x onto
-    themselves and move the coded symbols by a map ρ, κ∘τ = ρ∘κ, the identity
-    among them; () if some letter does not occur in x.
-
-    τ(x_i x_{i+1}) is then a 2-word whose level-k window is τ of the window of
-    x_i x_{i+1}, and coded, ρ of it. τ has finite order, so κ(τa) = κ(τb) gives
-    κ(a) = κ(b) and ρ is a bijection: the two windows hold the same
-    monochromatic progressions at the same offsets. Every letter is reached
-    from the seed by the rules, so τ(seed) fixes τ through
-    τ(σ(a)_i) = σ(τ(a))_i: one candidate per letter, each propagated in
-    O(c·L) steps.
-    """
-    check_coding(fp, coding)
-    c, seed = fp.sub.size, fp.seed
-    rules = np.array(fp.sub.rules, dtype=np.intp)
-    words = np.array(list(_two_words(fp)), dtype=np.intp).reshape(-1, 2)
-    legal = np.zeros(c * c, bool)
-    legal[words[:, 0] * c + words[:, 1]] = True
-    kappa = np.array(coding.table if coding is not None else range(c), dtype=np.intp)
-    found = []
-    for t in range(c):
-        tau = np.full(c, -1, np.intp)
-        tau[seed], frontier = t, np.array([seed])
-        while len(frontier):
-            src, dst = rules[frontier].ravel(), rules[tau[frontier]].ravel()
-            known = tau[src]
-            if (known[known >= 0] != dst[known >= 0]).any():
-                break
-            new, image = src[known < 0], dst[known < 0]
-            tau[new] = image
-            if (tau[new] != image).any():  # one new letter sent to two letters
-                break
-            frontier = np.flatnonzero(np.bincount(new, minlength=c))
-        else:
-            if (tau < 0).any():  # a letter the seed does not reach is not in x
-                return ()
-            if np.bincount(tau, minlength=c).max() > 1 \
-                    or not legal[tau[words[:, 0]] * c + tau[words[:, 1]]].all():
-                continue
-            rho = np.empty(kappa.max() + 1, np.intp)
-            rho[kappa] = kappa[tau]
-            if (rho[kappa] != kappa[tau]).any():
-                continue
-            found.append(tuple(tau.tolist()))
-    return tuple(found)
-
-
-@lru_cache(maxsize=None)
-def _orbit_firsts(fp: FixedPointSpec, coding: Coding | None) -> tuple[int, ...]:
-    """The sorted first occurrences of the 2-words that occur first in their orbit
-    under _symmetries(fp, coding)."""
-    first = _two_words(fp)
-    c = fp.sub.size
-    words = sorted(first, key=first.get)
-    u, v = np.array(words, dtype=np.intp).reshape(-1, 2).T
-    rank = np.empty(c * c, np.intp)
-    rank[u * c + v] = np.arange(len(words))
-    least = np.arange(len(words))
-    for tau in _symmetries(fp, coding):
-        t = np.array(tau, dtype=np.intp)
-        np.minimum(least, rank[t[u] * c + t[v]], out=least)
-    return tuple(first[words[i]] for i in np.flatnonzero(least == np.arange(len(words))))
-
-
-@lru_cache(maxsize=None)
-def _orbit_windows(fp: FixedPointSpec, coding: Coding | None,
-                   k: int) -> tuple[tuple[int, int], ...]:
-    """The level-k windows of the 2-words kept by _orbit_firsts, merged as in _level_windows.
-
-    A factor's copy in the window of a dropped 2-word w has an image under some
-    τ, at the same offset, in the window of the kept τ(w), which occurs no
-    later in x. So a monochromatic progression of at most B + 1 letters has
-    one of the same length in these windows, starting no later than it.
-    """
-    return _merged_windows(_orbit_firsts(fp, coding), fp.sub.length**k)
+def _blocks(firsts) -> int:
+    """|{f, f + 1}| over the first occurrences f: their merged windows (_merged_windows)
+    hold that many times B letters."""
+    return len({*firsts, *(f + 1 for f in firsts)})
 
 
 def _level(fp: FixedPointSpec, length: int) -> int:

@@ -10,7 +10,7 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
-from .stream import (FixedPointSpec, _level, _level_windows, _two_words, base_digits,
+from .stream import (FixedPointSpec, _level, _merged_windows, _two_words, base_digits,
                      ceil_log, check_prefix, check_tokens, factor)
 
 _RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
@@ -103,6 +103,13 @@ class Substitution:
             for x in rule:
                 if not 0 <= x < c:
                     raise SubstitutionError(f"letter index {x} out of range in rule {a}")
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.rules)))
+
+    def __hash__(self) -> int:  # computed once: a cache keyed on sub rehashes no rules tuple
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so hashed again: letters hash differently per process
+        return Substitution, (self.alphabet, self.rules)
 
     @property
     def size(self) -> int:
@@ -413,7 +420,7 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
     A 2-word recurs inside every two level-N images, so consecutive
     occurrences lie in a factor of at most 2 L^N + 1 letters. The windows of
     the least level k with L^k >= 2 L^N + 1 hold a copy of every such factor
-    (_level_windows), and each window is a factor of x, so the largest gap
+    (_merged_windows), and each window is a factor of x, so the largest gap
     inside one window is zeta_2. Windows over the budget are refused unread,
     before recurrence_formula builds its R.
     """
@@ -422,7 +429,8 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
         raise SubstitutionError("exact recurrence needs substitution length >= 2")
     n_exact = min_pair_cover_power(sub)
     fp = FixedPointSpec.find(sub)
-    windows = _level_windows(fp, _level(fp, 2 * L**n_exact + 1))
+    k = _level(fp, 2 * L**n_exact + 1)
+    windows = _merged_windows(sorted(_two_words(fp).values()), L**k)
     letters = sum(b - a for a, b in windows)
     if letters > _RECURRENCE_CAP:
         raise ResourceCapError(f"exact recurrence windows hold {letters} letters, "

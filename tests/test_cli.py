@@ -330,6 +330,22 @@ def test_prefix_text_and_u8(tmp_path: Path):
     assert list(out.read_bytes()) == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]
 
 
+def test_user_input_is_the_word_analyze_describes():
+    # a user substitution starts where FixedPointSpec.find picks, not at its first
+    # letter: here c (c -> cc), period 1, as analyze reports; from a it would be a c c c …
+    rules = "a -> bc ; b -> ac ; c -> cc"
+    cp = run_cli("prefix", "--rules", rules, "--length", "8")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "c c c c c c c c"
+    cp = run_cli("analyze", "--rules", rules)
+    assert json.loads(cp.stdout)["aperiodicity"] == {"status": "PeriodicDetected", "period": 1}
+    # x0 returns to no fixed point (x0 -> x1 -> … -> x20 -> x20), so x20 starts the word
+    rules = " ; ".join(f"x{k} -> x{k + 1} x0" for k in range(20)) + " ; x20 -> x20 x0"
+    cp = run_cli("prefix", "--rules", rules, "--length", "4")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "x20 x0 x1 x0"
+
+
 def test_prefix_resource_cap_exit_3(tmp_path: Path):
     out = tmp_path / "w"
     for fmt in ("text", "u8"):

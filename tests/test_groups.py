@@ -119,7 +119,7 @@ def test_witness_positions_hit_seed_letter():
         fp = b.fixed_point()
         rep = identity_column_witness(b.substitution, 1)
         for pos in rep.positions:
-            assert letter_at(fp, pos) == b.seed
+            assert letter_at(fp, pos) == fp.sub.alphabet.letters[fp.seed]
 
 
 def test_witness_after_power_normalization():

@@ -41,22 +41,19 @@ from apword.progressions import (
     _certification_basis,
     _certified_window,
     _dense_step,
-    _two_word_cover,
     palindromic_member,
 )
 from apword.stream import (
     PREFIX_CAP,
     _cycle_length,
     _level,
-    _level_windows,
-    _orbit_firsts,
-    _orbit_windows,
-    _symmetries,
+    _merged_windows,
     _two_words,
     letter_index_at,
 )
 from apword.substitution import _legal_index_words
 from ap_oracle import max_ap_oracle
+from window_reference import level_windows, orbit_windows, window_letters
 
 SMALL = ScanPolicy(initial_prefix=2**16, prefix_cap=2**20)
 BUILTINS = [n for n in builtin_names() if not n.endswith(":L")] + ["tm:2", "tm:3", "vandermonde:3"]
@@ -725,7 +722,8 @@ def test_scan_repeats_no_kernel_call(monkeypatch):
     fp = get_builtin("tm:5").fixed_point()
     rows = scan(fp, None, 200, 300)
     assert all(row.status == EXACT for row in rows)
-    levels = {_orbit_windows(fp, None, k) for k in range(1, 12)}
+    symmetries = PrefixSource(fp).symmetries
+    levels = {orbit_windows(fp, symmetries, k) for k in range(1, 12)}
     assert all(factors in levels for factors, _ in calls)  # every call reads orbit windows
     assert len(set(calls)) == len(calls), "a kernel call on one level was repeated"
 
@@ -808,7 +806,7 @@ def level_cases(draw):
     fp = draw(st.one_of(small_fixed_points(), late_letter_fixed_points()))
     L = fp.sub.length
     k = fp.power * draw(st.integers(0, max(j for j in range(9) if L ** (j * fp.power) <= 256)))
-    end = _level_windows(fp, k)[-1][1]
+    end = level_windows(fp, k)[-1][1]
     d = draw(st.one_of(st.integers(1, L**k + 1), st.integers(1, end)))
     return fp, draw(codings(fp)), k, sorted({1, 2, d})
 
@@ -823,7 +821,7 @@ def _is_progression(word: np.ndarray, d: int, start: int, length: int) -> bool:
 def test_level_windows_match_the_plain_kernel_property(case):
     fp, coding, k, ds = case
     word = PrefixSource(fp, coding).level(k)
-    letters = prefix(fp, _level_windows(fp, k)[-1][1], coding)
+    letters = prefix(fp, level_windows(fp, k)[-1][1], coding)
     for d in ds:
         want = max_ap_in_prefix(letters, d)
         got = max_ap_in_prefix(word, d)
@@ -898,12 +896,11 @@ def test_orbit_windows_match_all_windows_property(case):
     # the symmetries are exactly those found by trial, and the rows read from one
     # 2-word per orbit equal those read from every 2-word, prefix_len included
     fp, coding = case
-    assert set(_symmetries(fp, coding)) == symmetries_by_trial(fp, coding)
+    assert set(PrefixSource(fp, coding).symmetries) == symmetries_by_trial(fp, coding)
     policy = ScanPolicy(prefix_cap=2**14)
     rows = scan(fp, coding, 1, 40, policy)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(apword.progressions, "_orbit_windows",
-                  lambda fp, coding, k: _level_windows(fp, k))
+        m.setattr(PrefixSource, "symmetries", ())  # no symmetry: every 2-word is kept
         assert scan(fp, coding, 1, 40, policy) == rows
 
 
@@ -917,8 +914,7 @@ def test_orbit_windows_match_all_windows(monkeypatch, name):
     for coding in [None, *b.codings().values()]:
         rows = scan(fp, coding, 1, 300, policy)
         with monkeypatch.context() as m:
-            m.setattr(apword.progressions, "_orbit_windows",
-                      lambda fp, coding, k: _level_windows(fp, k))
+            m.setattr(PrefixSource, "symmetries", ())  # no symmetry: every 2-word is kept
             assert scan(fp, coding, 1, 300, policy) == rows, coding
 
 
@@ -929,19 +925,57 @@ def test_orbit_windows_match_all_windows(monkeypatch, name):
 def test_symmetries_of_the_builtins(name, coding, symmetries, kept):
     b = get_builtin(name)
     fp, code = b.fixed_point(), b.coding(coding) if coding else None
-    assert len(_symmetries(fp, code)) == symmetries
-    assert len(_orbit_firsts(fp, code)) == kept
+    src = PrefixSource(fp, code)
+    assert len(src.symmetries) == symmetries
+    assert len(src.kept) == kept
     # the least first occurrence of each orbit is kept, the seed's 2-word among them
-    assert _orbit_firsts(fp, code)[0] == 0
-    assert set(_orbit_firsts(fp, code)) <= set(_two_words(fp).values())
+    assert src.kept[0] == 0
+    assert set(src.kept) <= set(_two_words(fp).values())
 
 
 def test_symmetries_need_every_letter_in_the_word():
     # c is in no image of a or b, so x has no c: the swap of a and b commutes with σ,
     # but with a letter outside x no symmetry is used, and every window is kept
     fp = FixedPointSpec.find(parse_substitution("a -> ab ; b -> ba ; c -> cc"), "a")
-    assert _symmetries(fp, None) == ()
-    assert _orbit_windows(fp, None, 2) == _level_windows(fp, 2)
+    src = PrefixSource(fp)
+    assert src.symmetries == ()
+    assert src.kept == tuple(sorted(_two_words(fp).values()))
+
+
+def check_index(fp, coding, symmetries, budget: int) -> None:
+    """The source's block count, cover and kept windows against the windows listed
+    one by one (window_reference), at each level k, a multiple of fp.power, whose
+    windows of all the 2-words hold at most `budget` letters."""
+    src, k = PrefixSource(fp, coding), 0
+    while (total := window_letters(every := level_windows(fp, k))) <= budget:
+        B = fp.sub.length**k
+        assert src.blocks * B == total, k  # the budget of a_of_d
+        assert src.cover * B == every[-1][1], k  # the end of the last window
+        kept = orbit_windows(fp, symmetries, k)
+        assert _merged_windows(src.kept, B) == kept, k
+        if window_letters(kept) <= 2**16:
+            assert tuple((o, o + b - a) for a, b, o in src.level(k).spans) == kept, k
+        k += fp.power
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["tm:5", "tm:9", "tm:16", "vandermonde:5"])
+def test_index_matches_the_listed_windows(name):
+    # symmetries by trial up to 6 letters; above, the source's own, whose counts
+    # test_symmetries_of_the_builtins pins
+    b = get_builtin(name)
+    fp = b.fixed_point()
+    for coding in [None, *b.codings().values()]:
+        symmetries = symmetries_by_trial(fp, coding) if fp.sub.size <= 6 \
+            else PrefixSource(fp, coding).symmetries
+        check_index(fp, coding, symmetries, 2**26)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=symmetric_cases())
+def test_index_matches_the_listed_windows_property(case):
+    fp, coding = case
+    check_index(fp, coding, symmetries_by_trial(fp, coding), 2**14)
 
 
 @st.composite
@@ -994,11 +1028,11 @@ def test_level_windows_leftmost_start_past_the_first_block_of_its_window():
     # it is reported at its place in x though packed from letter 64
     fp = FixedPointSpec.find(parse_substitution("a -> aaab ; b -> aaac ; c -> cccc"), "a")
     # aa, ab, ba first occur at 0, 2, 3, ac, ca at 14, 15, and bc, cc at 59, 60
-    assert _level_windows(fp, 1) == ((0, 20), (56, 68), (236, 248))
+    assert level_windows(fp, 1) == ((0, 20), (56, 68), (236, 248))
     word = PrefixSource(fp).level(1)
     assert word.spans == ((0, 20, 0), (64, 76, 56), (128, 140, 236))
     letters = prefix(fp, 248)
-    got = max_ap_in_prefix(PackedWord.pack_factors(_level_windows(fp, 1)[:2], 2,
+    got = max_ap_in_prefix(PackedWord.pack_factors(level_windows(fp, 1)[:2], 2,
                                                    lambda a, b: letters[a:b]), 1)
     assert (got.best_len, got.best_start) == (4, 60)
     got = max_ap_in_prefix(word, 1)  # aaac cccc cccc from 236: the run of 9 from 239
@@ -1015,8 +1049,8 @@ def test_level_windows_edges(name, coding, n):
     src = PrefixSource(fp, code)
     for d in (1, 5, 64, 65):
         row = a_of_d(fp, code, d, ScanPolicy(prefix_cap=n), source=src)
-        letters = sum(b - a for a, b in _level_windows(fp, _level(fp, row.best_len * d)))
-        assert letters <= n and row.prefix_len == _certified_window(fp, d, row.best_len)
+        letters = window_letters(level_windows(fp, _level(fp, row.best_len * d)))
+        assert letters <= n and row.prefix_len == _certified_window(src, d, row.best_len)
         assert a_of_d(fp, code, d, ScanPolicy(prefix_cap=letters), source=src) == row
         over = a_of_d(fp, code, d, ScanPolicy(prefix_cap=letters - 1), source=src)
         assert over == max_ap_in_prefix(src.get(letters - 1), d), d
@@ -1035,7 +1069,7 @@ def test_level_windows_with_no_two_term_progression():
         assert (got.best_len, got.best_start) == (1, 0)
         row = a_of_d(fp, None, d, source=src)
         assert (row.best_len, row.best_start, row.status) == (1, 0, LOWER)
-        assert row.prefix_len == _two_word_cover(fp) * 2 ** _level(fp, d)
+        assert row.prefix_len == src.cover * 2 ** _level(fp, d)
 
 
 def test_prefix_source_lets_its_levels_go_before_growing(monkeypatch):
@@ -1125,7 +1159,7 @@ def test_a_of_d_certification():
     # r_override is not read: the cover certifies with or without it
     assert a_of_d(fp, None, 3, ScanPolicy()) == certified
     # i2 = 5 and 8 * 3 <= 32, so the windows of the 2-words end at 7 * 32 = 224 letters
-    assert _certified_window(fp, 3, 8) == certified.prefix_len == 224
+    assert _certified_window(PrefixSource(fp), 3, 8) == certified.prefix_len == 224
     # they hold 6 * 32 = 192 letters: a smaller budget leaves an honest lower bound
     assert a_of_d(fp, None, 3, ScanPolicy(prefix_cap=192)) == certified
     uncert = a_of_d(fp, None, 3, ScanPolicy(prefix_cap=191))
@@ -1136,7 +1170,7 @@ def test_a_of_d_decides_rows_whose_windows_reach_past_the_cap():
     tm9 = get_builtin("tm:9").fixed_point()
     row = a_of_d(tm9, None, 1)  # i2 = 731,794,256, far past any prefix under the cap
     assert (row.best_len, row.best_start, row.status) == (2, 43_046_720, EXACT)
-    assert row.prefix_len == _two_word_cover(tm9) * 9 > PREFIX_CAP
+    assert row.prefix_len == PrefixSource(tm9).cover * 9 > PREFIX_CAP
     s = row.best_start  # the first pair of equal neighbours, and no third
     assert letter_index_at(tm9, s) == letter_index_at(tm9, s + 1)
     assert letter_index_at(tm9, s + 2) != letter_index_at(tm9, s) != letter_index_at(tm9, s - 1)
@@ -1176,7 +1210,7 @@ def small_fixed_points(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(fp=small_fixed_points())
 def test_two_word_cover_matches_the_first_occurrences_in_a_prefix(fp):
-    cover = _two_word_cover(fp)
+    cover = PrefixSource(fp).cover
     x = prefix(fp, max(2**14, 2 * cover)).astype(np.int64)  # a cover too small shows past it
     codes, first = np.unique(x[:-1] * fp.sub.size + x[1:], return_index=True)
     seen = {divmod(int(code), fp.sub.size): int(i) for code, i in zip(codes, first)}
@@ -1198,9 +1232,10 @@ def test_two_word_cover_reads_no_prefix(monkeypatch):
     monkeypatch.undo()
     for L in range(2, 8):  # the same index read off a prefix, up to 2 * 1,529,438 letters
         fp = get_builtin(f"tm:{L}").fixed_point()
-        x = prefix(fp, 2 * _two_word_cover(fp)).astype(np.int64)
+        cover = PrefixSource(fp).cover
+        x = prefix(fp, 2 * cover).astype(np.int64)
         codes, first = np.unique(x[:-1] * L + x[1:], return_index=True)
-        assert len(codes) == L * L and first.max() + 2 == _two_word_cover(fp)
+        assert len(codes) == L * L and first.max() + 2 == cover
 
 
 @st.composite

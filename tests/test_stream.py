@@ -56,7 +56,7 @@ def test_known_prefixes():
     tm3 = get_builtin("tm:3")
     fp3 = tm3.fixed_point()
     assert [letter_at(fp3, n) for n in range(3)] == ["0", "1", "2"]
-    assert letter_at(fp3, 0) == tm3.seed
+    assert letter_at(fp3, 0) == fp3.sub.alphabet.letters[fp3.seed]
 
 
 def test_rs_spin_prefix_matches_listed_values():

@@ -1,16 +1,21 @@
 import heapq
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apword
 import apword.stream
 import apword.substitution
 from apword import (
@@ -170,6 +175,32 @@ def subwords(word, n):
 def test_parse_tm():
     assert TM.size == 2 and TM.length == 2
     assert TM.word(0) == "01" and TM.word(1) == "10"
+
+
+def test_equal_substitutions_built_apart_hash_equal():
+    # the hash is computed once per substitution, from its letters and rules alone, so
+    # a cache keyed on one finds what was stored under an equal one built apart
+    subs = [TM, parse_substitution("0 -> 01 ; 1 -> 10"),
+            parse_substitution('{"rules": {"0": "01", "1": "10"}}'),
+            Substitution(Alphabet(("0", "1")), ((0, 1), (1, 0))),
+            get_builtin("tm:2").substitution, get_builtin("tm:2").substitution]
+    assert len({id(sub) for sub in subs}) == len(subs)
+    assert all(sub == TM and hash(sub) == hash(TM) for sub in subs)
+    fps = [FixedPointSpec.find(sub) for sub in subs]
+    assert len(set(fps)) == 1 and {fp: 1 for fp in fps} == {fps[0]: 1}
+    assert all(apword.stream._two_words(fp) is apword.stream._two_words(fps[0]) for fp in fps)
+
+
+def test_a_pickled_substitution_is_hashed_where_it_is_loaded(tmp_path):
+    # strings hash differently in each process, so a stored hash must not travel:
+    # a fixed point pickled under one hash seed is found in a dict under another
+    path, src = str(tmp_path / "fp.pickle"), str(Path(apword.__file__).parent.parent)
+    rs = "get_builtin('rs').fixed_point()"
+    for seed, code in [("1", f"open({path!r}, 'wb').write(pickle.dumps({rs}))"),
+                       ("2", f"assert {{{rs}: 1}}[pickle.loads(open({path!r}, 'rb').read())]")]:
+        code = f"import pickle; from apword import get_builtin; {code}"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
 
 
 def test_parse_outlook_rules():
