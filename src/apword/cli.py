@@ -114,7 +114,7 @@ def _json_dump(obj, args, path):
 
 def cmd_analyze(args) -> int:
     builtin = _load_target(args)
-    sub = builtin.substitution
+    sub, fp = builtin.substitution, builtin.fixed_point()
     letters = sub.alphabet.letters
     kinds = [col.kind for col in columns(sub)]
     report: dict = {
@@ -124,6 +124,7 @@ def cmd_analyze(args) -> int:
             "length": sub.length,
             "rules": {letters[a]: sub.word(a) for a in range(sub.size)},
         },
+        "fixed_point": {"seed": letters[fp.seed], "power": fp.power},
         "primitive": is_primitive(sub),
         "bijective": is_bijective(sub),
         "columns": {kind: kinds.count(kind) for kind in sorted(set(kinds))},

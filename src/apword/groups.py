@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, lcm
 
+import numpy as np
+
 from .errors import SubstitutionError
 from .substitution import (
     ColumnMap,
@@ -34,34 +36,35 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
+def _cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p, fixed points included, each from its least letter, in that order."""
+    cycles, seen = [], set()
+    for a in range(len(p)):
+        if a not in seen:
+            cycle = [a]
+            while p[cycle[-1]] != a:
+                cycle.append(p[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
 def perm_order(p: Perm) -> int:
-    ident = identity_perm(len(p))
-    q = p
-    order = 1
-    while q != ident:
-        q = compose(q, p)
-        order += 1
-    return order
+    return lcm(*map(len, _cycles(p)))
 
 
 def cycle_notation(p: Perm, names=None) -> str:
     """Disjoint cycles over letter names; fixed points omitted, identity is 'id'."""
     names = names or [str(i) for i in range(len(p))]
-    seen = [False] * len(p)
-    parts = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            cycle.append(x)
-            seen[x] = True
-            x = p[x]
-        parts.append("(" + " ".join(names[i] for i in cycle) + ")")
-    return "".join(parts) if parts else "id"
+    return "".join("(" + " ".join(names[i] for i in cycle) + ")"
+                   for cycle in _cycles(p) if len(cycle) > 1) or "id"
+
+
+def commute(perms) -> bool:
+    """Every two of the permutations commute: the group they generate is Abelian.
+    Over the distinct ones p_j, row j of a[p] is a∘p_j, and of p[:, a] it is p_j∘a."""
+    p = np.array(list(dict.fromkeys(perms)), dtype=np.intp)
+    return all((a[p] == p[:, a]).all() for a in p)
 
 
 @dataclass(frozen=True)
@@ -93,32 +96,20 @@ def _bijective_columns(sub: Substitution) -> list[ColumnMap]:
 
 def generate_group(sub: Substitution) -> ColumnGroup:
     """Closure of the column maps under composition, with cached structure."""
-    cols = _bijective_columns(sub)
-    c = sub.size
-    gens = tuple(dict.fromkeys(col.image for col in cols))
-    cap = factorial(c)
-    ident = identity_perm(c)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = compose(g, s)
-                if h not in elements:
-                    elements.add(h)
-                    nxt.append(h)
-                    if len(elements) > cap:
-                        raise SubstitutionError("group closure exceeded c! elements")
-        frontier = nxt
-
-    exponent = 1
-    for g in elements:
-        exponent = lcm(exponent, perm_order(g))
-    abelian = all(compose(a, b) == compose(b, a) for a in gens for b in gens)
+    c, cap = sub.size, factorial(sub.size)
+    gens = tuple(dict.fromkeys(col.image for col in _bijective_columns(sub)))
+    elements = [identity_perm(c)]
+    seen = set(elements)
+    for g in elements:  # breadth first: elements grows while it is read
+        for s in gens:
+            if (h := compose(g, s)) not in seen:
+                seen.add(h)
+                elements.append(h)
+                if len(elements) > cap:
+                    raise SubstitutionError("group closure exceeded c! elements")
+    exponent = lcm(*map(perm_order, elements))
     transitive = len({g[0] for g in elements}) == c  # orbit of 0 under the group
-    return ColumnGroup(frozenset(elements), gens, len(elements), exponent, abelian,
-                       transitive)
+    return ColumnGroup(frozenset(seen), gens, len(seen), exponent, commute(gens), transitive)
 
 
 @dataclass(frozen=True)

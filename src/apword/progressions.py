@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ResourceCapError, SubstitutionError
 from .groups import (
     PalindromicityReport,
+    commute,
     generate_group,
     identity_difference,
     identity_perm,
@@ -28,6 +29,7 @@ from .stream import (PREFIX_CAP, Coding, FixedPointSpec, _blocks, _level, _merge
 from .substitution import (
     Substitution,
     column,
+    columns,
     min_pair_cover_power,
     star_defect,
 )
@@ -421,11 +423,16 @@ class PrefixSource:
 
 
 @lru_cache(maxsize=None)
-def _certification_basis(sub: Substitution) -> tuple[bool, int | None]:
-    """Whether the upper-bound route applies to this substitution, plus its N."""
-    if star_defect(sub) is not None or not generate_group(sub).abelian:
-        return False, None
-    return True, min_pair_cover_power(sub)
+def _bound_applies(sub: Substitution) -> bool:
+    """Whether U(d) (upper_bound) applies: star_defect finds no defect and the columns
+    commute, so the column group is Abelian. Neither the group nor N is built."""
+    return star_defect(sub) is None and commute([col.image for col in columns(sub)])
+
+
+@lru_cache(maxsize=None)
+def _certification_basis(sub: Substitution) -> int | None:
+    """N, the pair-cover power behind U(d), where U(d) applies; else None."""
+    return min_pair_cover_power(sub) if _bound_applies(sub) else None
 
 
 def upper_bound(sub: Substitution, d: int) -> int | None:
@@ -439,8 +446,7 @@ def upper_bound(sub: Substitution, d: int) -> int | None:
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
-    ok, N = _certification_basis(sub)
-    if not ok:
+    if (N := _certification_basis(sub)) is None:
         return None
     L = sub.length
     candidates = []
@@ -467,9 +473,8 @@ def _certified_window(src: PrefixSource, d: int, best_len: int) -> int:
 
 def _exact_domain(fp: FixedPointSpec, coding: Coding | None) -> bool:
     """Where a row the windows decide is reported ExactUnderBound: power 1, no coding
-    or an injective one, and a substitution with a bound U(d) (upper_bound)."""
-    return fp.power == 1 and (coding is None or coding.is_injective) \
-        and _certification_basis(fp.sub)[0]
+    or an injective one, and a substitution with a bound U(d) (_bound_applies)."""
+    return fp.power == 1 and (coding is None or coding.is_injective) and _bound_applies(fp.sub)
 
 
 def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,

@@ -10,8 +10,8 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
-from .stream import (FixedPointSpec, _level, _merged_windows, _two_words, base_digits,
-                     ceil_log, check_prefix, check_tokens, factor)
+from .stream import (FixedPointSpec, _blocks, _level, _merged_windows, _two_words,
+                     base_digits, ceil_log, check_prefix, check_tokens, factor)
 
 _RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
 
@@ -366,10 +366,12 @@ def min_pair_cover_power(sub: Substitution) -> int:
 
     σ^n(a) is the blocks σ^(n-1)(b) of the letters b of σ(a), so its 2-words are those
     of its blocks and the junction pairs (last letter of a block, first of the next):
-    per letter, each level keeps first and last letters and a bit set of 2-words."""
+    per letter, each level keeps first and last letters and a bit set over W2, the
+    2-words of the fixed point: on a primitive σ, those are the legal ones."""
     if not is_primitive(sub):
         raise SubstitutionError("pair-cover power needs a primitive substitution")
-    bit = {p: 1 << i for i, p in enumerate(sorted(_legal_index_words(sub, 2)))}
+    words = _two_words(FixedPointSpec.find(sub)) if sub.length > 1 else ()  # a -> a has none
+    bit = {p: 1 << i for i, p in enumerate(words)}
     full = (1 << len(bit)) - 1
     first = last = tuple(range(sub.size))
     pairs = (0,) * sub.size
@@ -430,14 +432,13 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
     n_exact = min_pair_cover_power(sub)
     fp = FixedPointSpec.find(sub)
     k = _level(fp, 2 * L**n_exact + 1)
-    windows = _merged_windows(sorted(_two_words(fp).values()), L**k)
-    letters = sum(b - a for a, b in windows)
-    if letters > _RECURRENCE_CAP:
+    firsts = sorted(_two_words(fp).values())
+    if (letters := _blocks(firsts) * L**k) > _RECURRENCE_CAP:
         raise ResourceCapError(f"exact recurrence windows hold {letters} letters, "
                                f"cap is {_RECURRENCE_CAP}")
     r_formula, n_bound = recurrence_formula(c, L)
     zeta2 = 0
-    for a, b in windows:
+    for a, b in _merged_windows(firsts, L**k):
         w = factor(fp, a, b).astype(np.uint16)  # c <= 256: a 2-word code fits 16 bits
         codes = w[:-1] * c + w[1:]
         at = np.argsort(codes, kind="stable")  # the occurrences of each 2-word, in order
@@ -452,18 +453,13 @@ class AperiodicityResult:
     period: int | None = None
 
 
-def _two_words_share_an_end(sub: Substitution) -> bool:
-    """Two legal 2-words share a first or a last letter: the aperiodicity
-    criterion for primitive bijective substitutions."""
-    pairs = _legal_index_words(sub, 2)
-    return len({a for a, _ in pairs}) < len(pairs) or len({b for _, b in pairs}) < len(pairs)
-
-
 def star_defect(sub: Substitution) -> str | None:
     """First condition of the column-group upper bound that sub fails, or None.
 
     The bound needs a bijective, primitive substitution with the identity as
-    its zeroth column, aperiodic by the 2-word criterion; no prefix is read.
+    its zeroth column, aperiodic by the 2-word criterion: two 2-words share an end,
+    that is |W2| > c as every letter occurs, that is Aperiodic, as a periodic x of
+    a bijective σ has least period c (README, "Notes on exactness"). No prefix is read.
     """
     if not is_bijective(sub):
         return "is not bijective"
@@ -471,7 +467,7 @@ def star_defect(sub: Substitution) -> str | None:
         return "is not primitive"
     if column(sub, 0).image != tuple(range(sub.size)):
         return "does not have the identity as its zeroth column"
-    if not _two_words_share_an_end(sub):
+    if sub.length == 1 or len(_two_words(FixedPointSpec.find(sub))) <= sub.size:
         return "is not aperiodic by the 2-word criterion"
     return None
 

@@ -54,14 +54,13 @@ def _quotient(sub: Substitution, coding: Coding) -> Substitution:
     return check.quotient
 
 
-def lift_identity_family(sub: Substitution, coding: Coding, ks,
-                         seed: str | int | None = None) -> list[DifferenceFamily]:
+def lift_identity_family(sub: Substitution, coding: Coding, ks) -> list[DifferenceFamily]:
     """Identity-column family of the quotient, lifted to the original word.
 
     Needs the seed's fibre to be a singleton so symbol hits pin down the letter.
     """
     xi = _quotient(sub, coding)
-    fp = FixedPointSpec.find(sub, seed)
+    fp = FixedPointSpec.find(sub)
     if coding.table.count(coding.table[fp.seed]) != 1:
         raise SubstitutionError("seed block must be a singleton to lift progressions")
     if (defect := star_defect(xi)) is not None:
@@ -78,8 +77,7 @@ def lift_identity_family(sub: Substitution, coding: Coding, ks,
 
 
 def lift_column_family(sub: Substitution, coding: Coding, positions,
-                       target_letter: str | int, d: int, max_len: int = 10_000,
-                       seed: str | int | None = None) -> list[int]:
+                       target_letter: str | int, d: int, max_len: int = 10_000) -> list[int]:
     """Verified progression positions k*d whose letters are pinned to one target.
 
     Each multiple must end (base L) in one of the given column positions, all
@@ -101,7 +99,7 @@ def lift_column_family(sub: Substitution, coding: Coding, positions,
                     f"column {c} does not send block letter "
                     f"{sub.alphabet.letters[a]!r} to the target"
                 )
-    fp = FixedPointSpec.find(sub, seed)
+    fp = FixedPointSpec.find(sub)
     if coding.table[fp.seed] != symbol:
         raise SubstitutionError("fixed-point seed lies outside the target block")
     quotient_fp = FixedPointSpec.find(xi, symbol)

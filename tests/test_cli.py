@@ -337,8 +337,13 @@ def test_user_input_is_the_word_analyze_describes():
     cp = run_cli("prefix", "--rules", rules, "--length", "8")
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.splitlines()[-1] == "c c c c c c c c"
-    cp = run_cli("analyze", "--rules", rules)
-    assert json.loads(cp.stdout)["aperiodicity"] == {"status": "PeriodicDetected", "period": 1}
+    report = json.loads(run_cli("analyze", "--rules", rules).stdout)
+    assert report["aperiodicity"] == {"status": "PeriodicDetected", "period": 1}
+    assert report["fixed_point"] == {"seed": "c", "power": 1}
+    # every letter of x_k -> x_(k+1 mod 3) x_k returns after 3 rounds: x = σ^3(x) from x0
+    rules = "x0 -> x1 x0 ; x1 -> x2 x1 ; x2 -> x0 x2"
+    report = json.loads(run_cli("analyze", "--rules", rules).stdout)
+    assert report["fixed_point"] == {"seed": "x0", "power": 3}
     # x0 returns to no fixed point (x0 -> x1 -> … -> x20 -> x20), so x20 starts the word
     rules = " ; ".join(f"x{k} -> x{k + 1} x0" for k in range(20)) + " ; x20 -> x20 x0"
     cp = run_cli("prefix", "--rules", rules, "--length", "4")

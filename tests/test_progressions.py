@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import apword.progressions
 import apword.stream
+import apword.substitution
 from apword import (
     Alphabet,
     Coding,
@@ -38,6 +39,7 @@ from apword.progressions import (
     EXACT,
     LOWER,
     PackedWord,
+    _bound_applies,
     _certification_basis,
     _certified_window,
     _dense_step,
@@ -1133,8 +1135,27 @@ def test_certification_basis_reads_no_prefix(monkeypatch):
 
     monkeypatch.setattr(apword.stream, "prefix", spy)
     periodic = parse_substitution("a -> aba ; b -> bab")
-    assert _certification_basis.__wrapped__(periodic) == (False, None)  # bypass the cache
+    assert _bound_applies.__wrapped__(periodic) is False  # bypass the caches
+    assert _certification_basis.__wrapped__(periodic) is None
     assert requested == []
+
+
+def test_scan_builds_no_group_and_no_pair_cover_power(monkeypatch):
+    # the exact domain reads star_defect and the commutation of the columns; the
+    # closure and N are for upper_bound and the families
+    fp = get_builtin("tm:16").fixed_point()
+    want = scan(fp, None, 1, 20)
+
+    def refuse(sub):
+        raise AssertionError("the scan path builds the column group or N")
+
+    monkeypatch.setattr(apword.progressions, "generate_group", refuse)
+    monkeypatch.setattr(apword.progressions, "min_pair_cover_power", refuse)
+    monkeypatch.setattr(apword.substitution, "min_pair_cover_power", refuse)
+    _bound_applies.cache_clear()
+    _certification_basis.cache_clear()
+    assert scan(fp, None, 1, 20) == want
+    assert {row.status for row in want} == {EXACT}
 
 
 def test_upper_bound_values():

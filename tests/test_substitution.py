@@ -43,10 +43,14 @@ from apword import (
     prefix,
     recurrence_constants,
 )
+from apword.groups import compose, generate_group, identity_perm, perm_order
+from apword.progressions import _bound_applies
 from apword.spin import spin_system_from_json
+from apword.stream import _two_words
 from apword.substitution import (
     _legal_index_words,
     base_digits,
+    is_bijective,
     star_defect,
     substitution_power,
 )
@@ -67,6 +71,37 @@ def random_primitive_substitutions(seed: int, count: int, max_c: int = 5, max_L:
         if is_primitive(sub):
             count -= 1
             yield sub
+
+
+def primitive_half_bijective(seed: int, count: int):
+    """count seeded random primitive substitutions with 1 <= c <= 5, 2 <= L <= 4, about
+    half of the draws with every column a random permutation."""
+    rng = random.Random(seed)
+    while count:
+        c, L = rng.randint(1, 5), rng.randint(2, 4)
+        if rng.random() < 0.5:
+            cols = [rng.sample(range(c), c) for _ in range(L)]
+            rules = tuple(tuple(col[a] for col in cols) for a in range(c))
+        else:
+            rules = tuple(tuple(rng.randrange(c) for _ in range(L)) for _ in range(c))
+        sub = Substitution(Alphabet(tuple("abcde"[:c])), rules)
+        if is_primitive(sub):
+            count -= 1
+            yield sub
+
+
+def two_words_share_an_end(sub: Substitution) -> bool:
+    """Reference 2-word criterion: two legal 2-words share a first or a last letter."""
+    pairs = _legal_index_words(sub, 2)
+    return len({a for a, _ in pairs}) < len(pairs) or len({b for _, b in pairs}) < len(pairs)
+
+
+def perm_order_by_composing(p: tuple[int, ...]) -> int:
+    """Reference order of a permutation: the composing loop, p, p∘p, … up to the identity."""
+    ident, q, order = identity_perm(len(p)), p, 1
+    while q != ident:
+        q, order = compose(q, p), order + 1
+    return order
 
 
 def random_substitutions(seed: int, max_c: int, max_L: int):
@@ -608,6 +643,33 @@ def test_min_pair_cover_power_matches_the_letter_sets_at_random():
     assert max(n for n, _ in got) >= 8  # deep levels are reached, not only the first
 
 
+def test_structure_facts_match_their_references_at_random():
+    # W2 of the fixed point is the legal 2-words; on a bijective σ, |W2| > c is the
+    # 2-word criterion and Aperiodic; the orders and the commutation test are read
+    # off the closure
+    bijective = bounded = 0
+    for sub in primitive_half_bijective(5, 10_000):
+        words = _two_words(FixedPointSpec.find(sub))
+        assert set(words) == _legal_index_words.__wrapped__(sub, 2), sub.rules
+        assert min_pair_cover_power(sub) == pair_cover_power_by_letter_sets(sub), sub.rules
+        if not is_bijective(sub):
+            continue
+        bijective += 1
+        aperiodic = aperiodicity_certificate(sub).status == "Aperiodic"
+        assert (len(words) > sub.size) == two_words_share_an_end(sub) == aperiodic, sub.rules
+        in_domain = star_defect(sub) is None
+        if column(sub, 0).image == identity_perm(sub.size):
+            assert in_domain == aperiodic, sub.rules
+        group = generate_group(sub)
+        elements = group.elements
+        assert group.abelian == all(compose(a, b) == compose(b, a)
+                                    for a in elements for b in elements), sub.rules
+        bounded += in_domain
+        assert _bound_applies.__wrapped__(sub) == (in_domain and group.abelian), sub.rules
+        assert all(perm_order(g) == perm_order_by_composing(g) for g in elements), sub.rules
+    assert (bijective, bounded) == (6913, 654)  # 516 of the 654 with an Abelian group
+
+
 def test_min_pair_cover_power_rejects_a_non_primitive_substitution():
     for rules in ("a -> aa ; b -> bb", "a -> ab ; b -> bb"):
         with pytest.raises(SubstitutionError, match="primitive"):
@@ -724,9 +786,10 @@ def test_aperiodicity_reads_no_prefix_and_refuses_oversized_work(monkeypatch):
     assert FixedPointSpec.find(cycle).power == 23
     assert aperiodicity_certificate(cycle) == AperiodicityResult("Aperiodic")
     assert height(cycle) == 1
-    # the 256-letter cycle takes p·c²·L = 2^25 phase steps, refused before any state
+    # the 256-letter cycle takes p·c²·L = 2^25 phase steps, refused before any state,
+    # also where N reads W2
     monkeypatch.setattr(heapq, "heappop", refuse)
-    for check in (aperiodicity_certificate, height):
+    for check in (aperiodicity_certificate, height, min_pair_cover_power):
         with pytest.raises(ResourceCapError, match="2-words of 33554432 phase steps exceed"):
             check(rotation_cycle(256))
 

@@ -175,14 +175,6 @@ def test_induced_partition_tooling():
             induced_partition(sub, pairs)
 
 
-def test_lifts_check_the_seed_index():
-    b, part = blocks("supersub6")
-    with pytest.raises(SubstitutionError, match="letter index 6 out of range"):
-        lift_identity_family(b.substitution, part, [1], seed=6)
-    with pytest.raises(SubstitutionError, match="letter index -1 out of range"):
-        lift_column_family(b.substitution, part, b.column_positions, "a", 129, seed=-1)
-
-
 def test_graph_of_sets_outlook6():
     g = graph_of_sets(get_builtin("outlook6").substitution)
     assert len(g.nodes) == 9
