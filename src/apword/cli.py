@@ -282,7 +282,8 @@ def _add_scan_flags(p: argparse.ArgumentParser):
     p.add_argument("--initial-prefix", type=int, default=2**20,
                    help="checked but no longer read: A(d) is read from the 2-word windows")
     p.add_argument("--prefix-cap", type=int, default=2**26,
-                   help="budget on window letters; a row over it reads this many prefix letters")
+                   help="budget on the letters of the kept 2-word windows; a row over it "
+                        "reads this many prefix letters")
     p.add_argument("--r-override", type=int, default=None,
                    help="checked but no longer read: exactness comes from the 2-word cover")
 

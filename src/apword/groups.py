@@ -80,11 +80,6 @@ class ColumnGroup:
     def is_cyclic(self) -> bool:
         return self.abelian and self.exponent == self.order
 
-    def __post_init__(self):
-        for g in self.elements:
-            if self.exponent % perm_order(g):
-                raise SubstitutionError("group exponent does not kill every element")
-
 
 def _bijective_columns(sub: Substitution) -> list[ColumnMap]:
     cols = columns(sub)

@@ -24,8 +24,8 @@ from .groups import (
     palindromicity,
 )
 from .spin import SpinSystem, hadamard4, rudin_shapiro, vandermonde
-from .stream import (PREFIX_CAP, Coding, FixedPointSpec, _blocks, _level, _merged_windows,
-                     _two_words, ceil_log, check_coding, check_prefix, factor)
+from .stream import (PREFIX_CAP, Coding, FixedPointSpec, WindowIndex, _level, ceil_log,
+                     check_prefix, factor)
 from .substitution import (
     Substitution,
     column,
@@ -311,12 +311,8 @@ def max_ap_in_prefix(word, d: int) -> APResult:
     return APResult(d, k + 1, start + origin - a, n, LOWER)
 
 
-class PrefixSource:
-    """The index of a (coded) fixed point x: its 2-word data and its packed factor sets.
-
-    Each read once, on first use, from the first occurrences f of the 2-words: cover =
-    i2 + 2 for i2 the largest f, the symmetries, the f they keep, and blocks =
-    |{f, f + 1}|, so the level-k windows of all the 2-words hold blocks·L**k letters.
+class PrefixSource(WindowIndex):
+    """The window index of a (coded) fixed point x, with its packed factor sets.
 
     The planes are ceil(log2) of the alphabet size, and no letters are kept:
     each factor is packed chunk by chunk from factor. level(k) packs the
@@ -327,78 +323,10 @@ class PrefixSource:
     """
 
     def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
-        self.fp = fp
-        self.coding = coding
+        super().__init__(fp, coding)
         c = len(coding.names) if coding is not None else fp.sub.size
         self._planes = max(1, (c - 1).bit_length())
         self._packed = {}
-
-    @cached_property
-    def cover(self) -> int:
-        return max(_two_words(self.fp).values()) + 2
-
-    @cached_property
-    def blocks(self) -> int:
-        return _blocks(_two_words(self.fp).values())
-
-    @cached_property
-    def symmetries(self) -> tuple[tuple[int, ...], ...]:
-        """The letter permutations τ with τ∘σ = σ∘τ that map the 2-words of x onto
-        themselves and move the coded symbols by a map ρ, κ∘τ = ρ∘κ, the identity
-        among them; () if some letter does not occur in x.
-
-        τ(x_i x_{i+1}) is then a 2-word whose level-k window is τ of the window of
-        x_i x_{i+1}, and coded, ρ of it. τ has finite order, so κ(τa) = κ(τb) gives
-        κ(a) = κ(b) and ρ is a bijection: the two windows hold the same
-        monochromatic progressions at the same offsets. Every letter is reached
-        from the seed by the rules, so τ(seed) fixes τ through
-        τ(σ(a)_i) = σ(τ(a))_i: the c candidates are built at once, letter by
-        letter in breadth-first order, and each is checked in O(c·L) steps.
-        """
-        fp, coding = self.fp, self.coding
-        check_coding(fp, coding)
-        c, rules = fp.sub.size, np.array(fp.sub.rules, dtype=np.intp)
-        tau = np.full((c, c), -1, np.intp)  # row t: the candidate with τ(seed) = t
-        tau[:, fp.seed], reached = np.arange(c), [fp.seed]
-        for a in reached:  # reached grows, in breadth-first order, while it is read
-            for i, b in enumerate(fp.sub.rules[a]):
-                if tau[0, b] < 0:
-                    tau[:, b] = rules[tau[:, a], i]
-                    reached.append(b)
-        if len(reached) < c:  # a letter the seed does not reach is not in x
-            return ()
-        u, v = np.array(list(_two_words(fp)), dtype=np.intp).reshape(-1, 2).T
-        legal = np.zeros(c * c, bool)
-        legal[u * c + v] = True
-        kappa = np.array(coding.table if coding is not None else range(c), np.intp)
-        found = []
-        for t in tau:
-            rho = np.empty(kappa.max() + 1, np.intp)
-            rho[kappa] = kappa[t]
-            if (t[rules] == rules[t]).all() and np.bincount(t, minlength=c).max() == 1 \
-                    and legal[t[u] * c + t[v]].all() and (rho[kappa] == kappa[t]).all():
-                found.append(tuple(t.tolist()))
-        return tuple(found)
-
-    @cached_property
-    def kept(self) -> tuple[int, ...]:
-        """The sorted first occurrences of the 2-words that occur first in their orbit
-        under the symmetries.
-
-        A factor's copy in the window of a dropped 2-word w has an image under some
-        τ, at the same offset, in the window of the kept τ(w), which occurs no
-        later in x. So a monochromatic progression of at most B + 1 letters has
-        one of the same length in the kept windows, starting no later than it.
-        """
-        first, c = _two_words(self.fp), self.fp.sub.size
-        words = sorted(first, key=first.get)  # ranked, as an f may not fit an intp
-        u, v = np.array(words, dtype=np.intp).reshape(-1, 2).T
-        rank = np.empty(c * c, np.intp)
-        rank[u * c + v] = np.arange(len(words))
-        least = np.arange(len(words))
-        for t in map(np.array, self.symmetries):
-            np.minimum(least, rank[t[u] * c + t[v]], out=least)
-        return tuple(first[words[i]] for i in np.flatnonzero(least == np.arange(len(words))))
 
     def get(self, n: int) -> PackedWord:
         """The first n letters, packed."""
@@ -410,10 +338,9 @@ class PrefixSource:
     def level(self, k: int) -> PackedWord:
         """The merged level-k windows of the kept 2-words, packed. Windows of more than
         PREFIX_CAP letters are refused before any is packed."""
-        B = self.fp.sub.length**k
-        if (n := _blocks(self.kept) * B) > PREFIX_CAP:
+        if (n := self.letters(k)) > PREFIX_CAP:
             raise ResourceCapError(f"level-{k} windows of {n} letters exceed cap {PREFIX_CAP}")
-        return self._pack(_merged_windows(self.kept, B))
+        return self._pack(self.windows(k))
 
     def _pack(self, factors) -> PackedWord:
         if factors not in self._packed:
@@ -466,7 +393,7 @@ def upper_bound(sub: Substitution, d: int) -> int | None:
 
 
 def _certified_window(src: PrefixSource, d: int, best_len: int) -> int:
-    """(i2 + 2)·L**k0, the end of the windows of the least level k0 with L**k0 >= best_len·d:
+    """cover·L**k0, the end of the kept windows of the least level k0 with L**k0 >= best_len·d:
     the prefix that holds the leftmost witness of A(d) = best_len and its proof."""
     return src.cover * src.fp.sub.length ** _level(src.fp, best_len * d)
 
@@ -491,14 +418,13 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
     level of M·d. prefix_len is _certified_window, whatever level the search
     started at.
 
-    policy.prefix_cap is a budget on the letters of the windows of all the
-    2-words, blocks·B (PrefixSource.blocks), dropped orbit members included: a
-    level over it ends the search with the plain kernel on the first
-    prefix_cap letters, a lower bound. A decided row is ExactUnderBound inside
-    _exact_domain and LowerBoundOnly outside it. A source must have been built
-    for the same fixed point and coding, since the windows and letters are
-    taken from it. Callers reading many d should pass one: without it, each call
-    builds a source and runs the symmetry search again.
+    policy.prefix_cap is a budget on the letters of the kept windows
+    (PrefixSource.letters): a level over it ends the search with the plain
+    kernel on the first prefix_cap letters, a lower bound. A decided row is
+    ExactUnderBound inside _exact_domain and LowerBoundOnly outside it. A
+    source must have been built for the same fixed point and coding, since the
+    windows and letters are taken from it. Callers reading many d should pass
+    one: without it, each call builds a source and runs the symmetry search again.
     """
     if d < 1:
         raise SubstitutionError("difference must be >= 1")
@@ -510,7 +436,7 @@ def a_of_d(fp: FixedPointSpec, coding: Coding | None, d: int,
     if src.fp != fp or src.coding != coding:
         raise SubstitutionError("prefix source was built for another fixed point or coding")
     k = _level(fp, (hint_lower or 1) * d)
-    while fp.sub.length**k * src.blocks <= cap:
+    while src.letters(k) <= cap:
         best = max_ap_in_prefix(src.level(k), d)
         if best.best_len * d <= fp.sub.length**k:
             return replace(best, prefix_len=_certified_window(src, d, best.best_len),

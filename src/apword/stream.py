@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -251,29 +251,99 @@ def _two_words(fp: FixedPointSpec) -> MappingProxyType:
     return MappingProxyType({(a, b): i for (t, a, b), i in first.items() if t == 0})
 
 
-def _merged_windows(firsts, B: int) -> tuple[tuple[int, int], ...]:
-    """The windows [fB, (f+2)B) at the sorted first occurrences f of some 2-words of x,
-    merged where they overlap or touch, so they cover the blocks f and f + 1 of B letters.
+class WindowIndex:
+    """The level windows of a (coded) fixed point x = σ^p(x), one per symmetry orbit of its
+    2-words, each fact read once, on first use, from the first occurrences f of W2.
 
-    With B = L**k for k a multiple of fp.power, x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A
-    factor of at most B + 1 letters starting at s in block i = s // B lies in
-    x[iB, (i+2)B), and so does its copy at fB + s - iB in x[fB, (f+2)B), for
-    f <= i the first occurrence of x_i x_{i+1}: the windows of all the 2-words hold
-    a copy of every such factor, starting no later than it.
+    With B = L**k for k a multiple of p, x[iB, (i+2)B) = σ^k(x_i x_{i+1}). A factor of
+    at most B + 1 letters starting at s in block i = s // B lies in x[iB, (i+2)B), and
+    so does its copy at fB + s - iB in x[fB, (f+2)B), for f <= i the first occurrence
+    of x_i x_{i+1}. Some symmetry τ maps x_i x_{i+1} to a kept 2-word, whose window
+    starts no later and holds τ of that copy at the same offset: the kept windows hold
+    a copy of every such factor, up to τ, starting no later than it. cover =
+    max(kept) + 2 is the end of the last.
     """
-    windows = []
-    for f in firsts:
-        if windows and f * B <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], (f + 2) * B)
-        else:
-            windows.append((f * B, (f + 2) * B))
-    return tuple(windows)
 
+    def __init__(self, fp: FixedPointSpec, coding: Coding | None = None):
+        self.fp = fp
+        self.coding = coding
 
-def _blocks(firsts) -> int:
-    """|{f, f + 1}| over the first occurrences f: their merged windows (_merged_windows)
-    hold that many times B letters."""
-    return len({*firsts, *(f + 1 for f in firsts)})
+    @cached_property
+    def symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """The letter permutations τ with τ∘σ = σ∘τ that map the 2-words of x onto
+        themselves and move the coded symbols by a map ρ, κ∘τ = ρ∘κ, the identity
+        among them; () if some letter does not occur in x.
+
+        τ(x_i x_{i+1}) is then a 2-word whose level-k window is τ of the window of
+        x_i x_{i+1}, and coded, ρ of it. τ has finite order, so κ(τa) = κ(τb) gives
+        κ(a) = κ(b) and ρ is a bijection: the two windows hold the same
+        monochromatic progressions at the same offsets. Every letter is reached
+        from the seed by the rules, so τ(seed) fixes τ through
+        τ(σ(a)_i) = σ(τ(a))_i: the c candidates are built at once, letter by
+        letter in breadth-first order, and each is checked in O(c·L) steps.
+        """
+        fp, coding = self.fp, self.coding
+        check_coding(fp, coding)
+        c, rules = fp.sub.size, np.array(fp.sub.rules, dtype=np.intp)
+        tau = np.full((c, c), -1, np.intp)  # row t: the candidate with τ(seed) = t
+        tau[:, fp.seed], reached = np.arange(c), [fp.seed]
+        for a in reached:  # reached grows, in breadth-first order, while it is read
+            for i, b in enumerate(fp.sub.rules[a]):
+                if tau[0, b] < 0:
+                    tau[:, b] = rules[tau[:, a], i]
+                    reached.append(b)
+        if len(reached) < c:  # a letter the seed does not reach is not in x
+            return ()
+        u, v = np.array(list(_two_words(fp)), dtype=np.intp).reshape(-1, 2).T
+        legal = np.zeros(c * c, bool)
+        legal[u * c + v] = True
+        kappa = np.array(coding.table if coding is not None else range(c), np.intp)
+        found = []
+        for t in tau:
+            rho = np.empty(kappa.max() + 1, np.intp)
+            rho[kappa] = kappa[t]
+            if (t[rules] == rules[t]).all() and np.bincount(t, minlength=c).max() == 1 \
+                    and legal[t[u] * c + t[v]].all() and (rho[kappa] == kappa[t]).all():
+                found.append(tuple(t.tolist()))
+        return tuple(found)
+
+    @cached_property
+    def kept(self) -> tuple[int, ...]:
+        """The sorted first occurrences of the 2-words that occur first in their orbit
+        under the symmetries: a dropped one's window is τ of a kept one that starts earlier."""
+        first, c = _two_words(self.fp), self.fp.sub.size
+        words = sorted(first, key=first.get)  # ranked, as an f may not fit an intp
+        u, v = np.array(words, dtype=np.intp).reshape(-1, 2).T
+        rank = np.empty(c * c, np.intp)
+        rank[u * c + v] = np.arange(len(words))
+        least = np.arange(len(words))
+        for t in map(np.array, self.symmetries):
+            np.minimum(least, rank[t[u] * c + t[v]], out=least)
+        return tuple(first[words[i]] for i in np.flatnonzero(least == np.arange(len(words))))
+
+    @cached_property
+    def _runs(self) -> tuple[tuple[int, int], ...]:
+        """The blocks [f, f + 2) at the kept f, merged where they overlap or touch."""
+        runs = []
+        for f in self.kept:
+            if runs and f <= runs[-1][1]:
+                runs[-1] = (runs[-1][0], f + 2)
+            else:
+                runs.append((f, f + 2))
+        return tuple(runs)
+
+    @property
+    def cover(self) -> int:
+        return self._runs[-1][1]
+
+    def letters(self, k: int) -> int:
+        """The number of letters in windows(k)."""
+        return sum(b - a for a, b in self._runs) * self.fp.sub.length**k
+
+    def windows(self, k: int) -> tuple[tuple[int, int], ...]:
+        """The kept level-k windows [fB, (f+2)B), merged where they overlap or touch."""
+        B = self.fp.sub.length**k
+        return tuple((a * B, b * B) for a, b in self._runs)
 
 
 def _level(fp: FixedPointSpec, length: int) -> int:

@@ -10,8 +10,8 @@ from math import gcd
 import numpy as np
 
 from .errors import ParseError, ResourceCapError, SubstitutionError
-from .stream import (FixedPointSpec, _blocks, _level, _merged_windows, _two_words,
-                     base_digits, ceil_log, check_prefix, check_tokens, factor)
+from .stream import (FixedPointSpec, WindowIndex, _level, _two_words, base_digits, ceil_log,
+                     check_prefix, check_tokens, factor)
 
 _RECURRENCE_CAP = 2**26  # most window letters the exact recurrence reads
 
@@ -420,9 +420,10 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
     """Exact recurrence data: N by min_pair_cover_power, zeta_2 from the level windows.
 
     A 2-word recurs inside every two level-N images, so consecutive
-    occurrences lie in a factor of at most 2 L^N + 1 letters. The windows of
-    the least level k with L^k >= 2 L^N + 1 hold a copy of every such factor
-    (_merged_windows), and each window is a factor of x, so the largest gap
+    occurrences lie in a factor of at most 2 L^N + 1 letters. The kept windows
+    of the least level k with L^k >= 2 L^N + 1 hold a copy of every such factor
+    up to a symmetry τ (WindowIndex), which maps the occurrences of a 2-word to
+    those of its image, and each window is a factor of x, so the largest gap
     inside one window is zeta_2. Windows over the budget are refused unread,
     before recurrence_formula builds its R.
     """
@@ -432,13 +433,13 @@ def recurrence_constants(sub: Substitution) -> RecurrenceReport:
     n_exact = min_pair_cover_power(sub)
     fp = FixedPointSpec.find(sub)
     k = _level(fp, 2 * L**n_exact + 1)
-    firsts = sorted(_two_words(fp).values())
-    if (letters := _blocks(firsts) * L**k) > _RECURRENCE_CAP:
+    index = WindowIndex(fp)
+    if (letters := index.letters(k)) > _RECURRENCE_CAP:
         raise ResourceCapError(f"exact recurrence windows hold {letters} letters, "
                                f"cap is {_RECURRENCE_CAP}")
     r_formula, n_bound = recurrence_formula(c, L)
     zeta2 = 0
-    for a, b in _merged_windows(firsts, L**k):
+    for a, b in index.windows(k):
         w = factor(fp, a, b).astype(np.uint16)  # c <= 256: a 2-word code fits 16 bits
         codes = w[:-1] * c + w[1:]
         at = np.argsort(codes, kind="stable")  # the occurrences of each 2-word, in order

@@ -49,7 +49,6 @@ from apword.stream import (
     PREFIX_CAP,
     _cycle_length,
     _level,
-    _merged_windows,
     _two_words,
     letter_index_at,
 )
@@ -891,33 +890,44 @@ def symmetric_cases(draw):
     return fp, coding
 
 
+def check_rows_match_all_windows(fp, coding, d_to: int, policy: ScanPolicy) -> None:
+    """scan rows read from one 2-word per orbit against rows read from every 2-word: the
+    same value and start where both or neither are over the budget (prefix_len the
+    cap), and where one is, a decided value no less than its lower bound."""
+    rows = scan(fp, coding, 1, d_to, policy)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(PrefixSource, "symmetries", ())  # no symmetry: every 2-word is kept
+        every = scan(fp, coding, 1, d_to, policy)
+    for kept, row in zip(rows, every, strict=True):
+        over = kept.prefix_len == policy.prefix_cap, row.prefix_len == policy.prefix_cap
+        if over[0] == over[1]:
+            assert (kept.best_len, kept.best_start, kept.status) == \
+                (row.best_len, row.best_start, row.status), (kept, row, coding)
+        else:
+            decided, bound = (row, kept) if over[0] else (kept, row)
+            assert decided.best_len >= bound.best_len, (kept, row, coding)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(case=symmetric_cases())
 def test_orbit_windows_match_all_windows_property(case):
     # the symmetries are exactly those found by trial, and the rows read from one
-    # 2-word per orbit equal those read from every 2-word, prefix_len included
+    # 2-word per orbit match those read from every 2-word
     fp, coding = case
     assert set(PrefixSource(fp, coding).symmetries) == symmetries_by_trial(fp, coding)
-    policy = ScanPolicy(prefix_cap=2**14)
-    rows = scan(fp, coding, 1, 40, policy)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(PrefixSource, "symmetries", ())  # no symmetry: every 2-word is kept
-        assert scan(fp, coding, 1, 40, policy) == rows
+    check_rows_match_all_windows(fp, coding, 40, ScanPolicy(prefix_cap=2**14))
 
 
 @pytest.mark.parametrize("name", BUILTINS + ["tm:5", "tm:9", "tm:16", "vandermonde:5"])
-def test_orbit_windows_match_all_windows(monkeypatch, name):
-    # scan rows at d = 1..300 read from one 2-word per orbit equal those read from
+def test_orbit_windows_match_all_windows(name):
+    # scan rows at d = 1..300 read from one 2-word per orbit match those read from
     # every 2-word; a 2^22 budget keeps the rows over it (the even d of the digit
     # codings, A(d) infinite) quick, and they read the same prefix either way
     b = get_builtin(name)
-    fp, policy = b.fixed_point(), ScanPolicy(prefix_cap=2**22)
+    fp = b.fixed_point()
     for coding in [None, *b.codings().values()]:
-        rows = scan(fp, coding, 1, 300, policy)
-        with monkeypatch.context() as m:
-            m.setattr(PrefixSource, "symmetries", ())  # no symmetry: every 2-word is kept
-            assert scan(fp, coding, 1, 300, policy) == rows, coding
+        check_rows_match_all_windows(fp, coding, 300, ScanPolicy(prefix_cap=2**22))
 
 
 @pytest.mark.parametrize("name,coding,symmetries,kept", [
@@ -945,17 +955,15 @@ def test_symmetries_need_every_letter_in_the_word():
 
 
 def check_index(fp, coding, symmetries, budget: int) -> None:
-    """The source's block count, cover and kept windows against the windows listed
-    one by one (window_reference), at each level k, a multiple of fp.power, whose
-    windows of all the 2-words hold at most `budget` letters."""
+    """The source's letters, cover and kept windows against the windows listed block
+    by block (window_reference), at each level k, a multiple of fp.power, whose kept
+    windows hold at most `budget` letters."""
     src, k = PrefixSource(fp, coding), 0
-    while (total := window_letters(every := level_windows(fp, k))) <= budget:
-        B = fp.sub.length**k
-        assert src.blocks * B == total, k  # the budget of a_of_d
-        assert src.cover * B == every[-1][1], k  # the end of the last window
-        kept = orbit_windows(fp, symmetries, k)
-        assert _merged_windows(src.kept, B) == kept, k
-        if window_letters(kept) <= 2**16:
+    while (total := window_letters(kept := orbit_windows(fp, symmetries, k))) <= budget:
+        assert src.letters(k) == total, k  # the budget of a_of_d
+        assert src.cover * fp.sub.length**k == kept[-1][1], k  # the end of the last window
+        assert src.windows(k) == kept, k
+        if total <= 2**16:
             assert tuple((o, o + b - a) for a, b, o in src.level(k).spans) == kept, k
         k += fp.power
 
@@ -1044,14 +1052,14 @@ def test_level_windows_leftmost_start_past_the_first_block_of_its_window():
 @pytest.mark.parametrize("name, coding, n", [
     ("tm:2", None, 2**20), ("rs", "spin", 2**20), ("tm:3", None, 3**13 + 5)])
 def test_level_windows_edges(name, coding, n):
-    # n is the budget: a level whose windows hold as many letters is read, one
+    # n is the budget: a level whose kept windows hold as many letters is read, one
     # letter more is not, and then the plain kernel reads the first n letters
     b = get_builtin(name)
     fp, code = b.fixed_point(), b.coding(coding) if coding else None
-    src = PrefixSource(fp, code)
+    src, symmetries = PrefixSource(fp, code), symmetries_by_trial(fp, code)
     for d in (1, 5, 64, 65):
         row = a_of_d(fp, code, d, ScanPolicy(prefix_cap=n), source=src)
-        letters = window_letters(level_windows(fp, _level(fp, row.best_len * d)))
+        letters = window_letters(orbit_windows(fp, symmetries, _level(fp, row.best_len * d)))
         assert letters <= n and row.prefix_len == _certified_window(src, d, row.best_len)
         assert a_of_d(fp, code, d, ScanPolicy(prefix_cap=letters), source=src) == row
         over = a_of_d(fp, code, d, ScanPolicy(prefix_cap=letters - 1), source=src)
@@ -1179,22 +1187,28 @@ def test_a_of_d_certification():
     assert certified.best_len == 8  # frozen from the certified scan
     # r_override is not read: the cover certifies with or without it
     assert a_of_d(fp, None, 3, ScanPolicy()) == certified
-    # i2 = 5 and 8 * 3 <= 32, so the windows of the 2-words end at 7 * 32 = 224 letters
-    assert _certified_window(PrefixSource(fp), 3, 8) == certified.prefix_len == 224
-    # they hold 6 * 32 = 192 letters: a smaller budget leaves an honest lower bound
-    assert a_of_d(fp, None, 3, ScanPolicy(prefix_cap=192)) == certified
-    uncert = a_of_d(fp, None, 3, ScanPolicy(prefix_cap=191))
-    assert (uncert.best_len, uncert.prefix_len, uncert.status) == (8, 191, LOWER)
+    # 01 and 11 are kept, at 0 and 1 (10 and 00 are their swaps), and 8 * 3 <= 32, so
+    # the kept windows end at 3 * 32 = 96 letters
+    assert _certified_window(PrefixSource(fp), 3, 8) == certified.prefix_len == 96
+    # they hold 96 letters: a smaller budget leaves an honest lower bound
+    assert a_of_d(fp, None, 3, ScanPolicy(prefix_cap=96)) == certified
+    uncert = a_of_d(fp, None, 3, ScanPolicy(prefix_cap=95))
+    assert (uncert.best_len, uncert.prefix_len, uncert.status) == (8, 95, LOWER)
 
 
 def test_a_of_d_decides_rows_whose_windows_reach_past_the_cap():
-    tm9 = get_builtin("tm:9").fixed_point()
-    row = a_of_d(tm9, None, 1)  # i2 = 731,794,256, far past any prefix under the cap
-    assert (row.best_len, row.best_start, row.status) == (2, 43_046_720, EXACT)
-    assert row.prefix_len == PrefixSource(tm9).cover * 9 > PREFIX_CAP
-    s = row.best_start  # the first pair of equal neighbours, and no third
-    assert letter_index_at(tm9, s) == letter_index_at(tm9, s + 1)
-    assert letter_index_at(tm9, s + 2) != letter_index_at(tm9, s) != letter_index_at(tm9, s - 1)
+    # the first pair of equal neighbours starts at L^(L-1) - 1, the last kept 2-word:
+    # the kept windows of tm:9 end at 387,420,498 letters, those of tm:16 far past any
+    # prefix under the cap
+    for L, prefix_len in ((9, 387_420_498), (16, 16**16 + 16)):
+        fp = get_builtin(f"tm:{L}").fixed_point()
+        row = a_of_d(fp, None, 1)
+        assert (row.best_len, row.best_start, row.status) == (2, L ** (L - 1) - 1, EXACT)
+        assert row.prefix_len == PrefixSource(fp).cover * L == prefix_len
+        s = row.best_start  # and no third
+        assert letter_index_at(fp, s) == letter_index_at(fp, s + 1)
+        assert letter_index_at(fp, s + 2) != letter_index_at(fp, s) != letter_index_at(fp, s - 1)
+    assert 387_420_498 < PREFIX_CAP < 16**16
     sup = get_builtin("supersub6").fixed_point()
     assert [a_of_d(sup, None, d).best_len for d in (26, 104, 112)] == [7, 8, 8]
     rs = get_builtin("rs")
@@ -1202,6 +1216,20 @@ def test_a_of_d_decides_rows_whose_windows_reach_past_the_cap():
     assert (row.best_len, row.best_start) == (514, 2**21 - 1025)
     rows = scan(get_builtin("tm:5").fixed_point(), None, 1, 200, ScanPolicy(prefix_cap=2**24))
     assert all(row.status == EXACT for row in rows)
+
+
+def test_rows_over_the_budget_of_all_the_windows_are_decided():
+    # the kept windows fit the budget where those of all the 2-words do not: rs/spin
+    # d = 4094 reads level 23, 5 blocks of 2^23 letters in place of 11
+    rs = get_builtin("rs")
+    row = a_of_d(rs.fixed_point(), rs.coding("spin"), 4094)
+    assert (row.best_len, row.best_start, row.prefix_len, row.status) == \
+        (1027, 8_384_514, 41_943_040, LOWER)
+    c3 = get_builtin("c3-invpal")
+    members = difference_families(c3.substitution, [3], names=["identity"])
+    [report] = verify_family(c3.fixed_point(), None, members)
+    assert (report.family.d, report.measured.best_len, report.measured.status) == \
+        (15_751, 127, EXACT)
 
 
 def test_scan_rows_do_not_depend_on_the_range():
@@ -1231,12 +1259,12 @@ def small_fixed_points(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(fp=small_fixed_points())
 def test_two_word_cover_matches_the_first_occurrences_in_a_prefix(fp):
-    cover = PrefixSource(fp).cover
-    x = prefix(fp, max(2**14, 2 * cover)).astype(np.int64)  # a cover too small shows past it
+    src = PrefixSource(fp)
+    x = prefix(fp, max(2**14, 2 * max(_two_words(fp).values()) + 4)).astype(np.int64)
     codes, first = np.unique(x[:-1] * fp.sub.size + x[1:], return_index=True)
     seen = {divmod(int(code), fp.sub.size): int(i) for code, i in zip(codes, first)}
-    assert dict(_two_words(fp)) == seen
-    assert cover == 2 + max(seen.values())
+    assert dict(_two_words(fp)) == seen  # an index too small shows past it
+    assert src.cover == max(src.kept) + 2
 
 
 def test_two_word_cover_reads_no_prefix(monkeypatch):
@@ -1248,15 +1276,19 @@ def test_two_word_cover_reads_no_prefix(monkeypatch):
     for L in range(2, 13):
         # the last new 2-word of tm:L starts at (2L - 1) * L^(L-1) - 1: 731,794,256
         # for L = 9, which a prefix read would reach only at 2^30 letters
-        first = _two_words.__wrapped__(get_builtin(f"tm:{L}").fixed_point())
+        fp = get_builtin(f"tm:{L}").fixed_point()
+        first = _two_words.__wrapped__(fp)
         assert len(first) == L * L and max(first.values()) == (2 * L - 1) * L ** (L - 1) - 1
+        # one 2-word per orbit of the cyclic shifts is kept, the last at L^(L-1) - 1
+        src = PrefixSource(fp)
+        assert src.cover == max(src.kept) + 2 == L ** (L - 1) + 1
     monkeypatch.undo()
     for L in range(2, 8):  # the same index read off a prefix, up to 2 * 1,529,438 letters
         fp = get_builtin(f"tm:{L}").fixed_point()
-        cover = PrefixSource(fp).cover
-        x = prefix(fp, 2 * cover).astype(np.int64)
+        i2 = max(_two_words(fp).values())
+        x = prefix(fp, 2 * i2 + 4).astype(np.int64)
         codes, first = np.unique(x[:-1] * L + x[1:], return_index=True)
-        assert len(codes) == L * L and first.max() + 2 == cover
+        assert len(codes) == L * L and first.max() == i2
 
 
 @st.composite
@@ -1287,21 +1319,22 @@ def cyclic_column_substitutions(draw):
 def test_cover_certifies_the_value_of_a_far_longer_prefix(case, initial, cap):
     sub, coding = case
     fp = FixedPointSpec.find(sub)  # the identity column fixes every letter: power 1
-    far = prefix(fp, 2**13, coding).tolist()
+    far, x = prefix(fp, 2**13, coding).tolist(), prefix(fp, 2**13).tolist()
     first = {}
-    for i, pair in enumerate(zip(far, far[1:])):
+    for i, pair in enumerate(zip(x, x[1:])):
         first.setdefault(pair, i)
-    # sub is primitive, so its 2-words are the legal ones; an injective coding keeps them apart
-    assert len(first) == len(_legal_index_words(sub, 2))
+    assert len(first) == len(_legal_index_words(sub, 2))  # primitive: W2 is the legal 2-words
+    symmetries = symmetries_by_trial(fp, coding)  # one 2-word per orbit is kept
+    kept = [f for (u, v), f in first.items() if all(first[t[u], t[v]] >= f for t in symmetries)]
     value = {d: max_ap_oracle(far, d)[0] for d in range(1, 25)}
     for d, a in value.items():
         assert a <= upper_bound(sub, d)
         block = 1
         while block < a * d:
             block *= sub.length
-        window = (2 + max(first.values())) * block  # the cover, derived from the prefix
-        # the windows [fB, (f+2)B) hold this many letters, the budget that decides A(d)
-        held = len({f + j for f in first.values() for j in (0, 1)}) * block
+        window = (2 + max(kept)) * block  # the cover, derived from the prefix
+        # the kept windows [fB, (f+2)B) hold this many letters, the budget that decides A(d)
+        held = len({f + j for f in kept for j in (0, 1)}) * block
         if 2 * d + 1 < held and window <= 2**12:
             row = a_of_d(fp, coding, d, ScanPolicy(prefix_cap=held))
             assert (row.best_len, row.prefix_len, row.status) == (a, window, EXACT), row

@@ -46,7 +46,7 @@ from apword import (
 from apword.groups import compose, generate_group, identity_perm, perm_order
 from apword.progressions import _bound_applies
 from apword.spin import spin_system_from_json
-from apword.stream import _two_words
+from apword.stream import WindowIndex, _two_words
 from apword.substitution import (
     _legal_index_words,
     base_digits,
@@ -699,13 +699,14 @@ def refuse(*args, **kwargs):
 
 
 def test_recurrence_exact_cap_diagnostic(monkeypatch):
-    # level 5, as 2^5 >= 2·2^3 + 1: the windows [0, 4B) and [5B, 7B), B = 32
+    # level 5, as 2^5 >= 2·2^3 + 1: the kept window [0, 3B), B = 32, of 01 at 0 and 11
+    # at 1 (their swaps 10 and 00 first occur at 2 and 5)
     monkeypatch.setattr(apword.substitution, "factor", refuse)
-    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 191)
-    with pytest.raises(ResourceCapError, match="windows hold 192 letters, cap is 191"):
+    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 95)
+    with pytest.raises(ResourceCapError, match="windows hold 96 letters, cap is 95"):
         recurrence_constants(TM)
     monkeypatch.undo()
-    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 192)
+    monkeypatch.setattr(apword.substitution, "_RECURRENCE_CAP", 96)
     assert recurrence_constants(TM).zeta2_exact == 8
 
 
@@ -928,6 +929,42 @@ def test_recurrence_windows_match_the_prefix_scan_at_random():
             assert recurrence_constants(sub).zeta2_exact == scanned, sub.rules
             compared += 1
     assert compared > 200
+
+
+def test_recurrence_kept_windows_match_the_prefix_scan_at_random():
+    # the columns are powers of one c-cycle g, so g commutes with σ and moves every
+    # 2-word: the kept windows, one 2-word per orbit, are at most half of all of them
+    rng, compared = random.Random(2665), 0
+    while compared < 100:
+        c, L = rng.randint(2, 4), rng.randint(2, 4)
+        cycle = rng.sample(range(c), c)
+        g = {cycle[j]: cycle[(j + 1) % c] for j in range(c)}
+        powers = [list(range(c))]
+        for _ in range(c - 1):
+            powers.append([g[a] for a in powers[-1]])
+        exponents = [0] + [rng.randrange(c) for _ in range(L - 1)]
+        sub = Substitution(Alphabet(tuple("abcd"[:c])),
+                           tuple(tuple(powers[e][a] for e in exponents) for a in range(c)))
+        if not is_primitive(sub) or (scanned := zeta2_by_prefix(sub, cap=2**20)) is None:
+            continue
+        fp = FixedPointSpec.find(sub)
+        assert 2 * len(WindowIndex(fp).kept) <= len(_two_words(fp)), sub.rules
+        assert recurrence_constants(sub).zeta2_exact == scanned, sub.rules
+        compared += 1
+
+
+def test_recurrence_reads_the_kept_windows(monkeypatch):
+    # tm:5 at level 7 (5^7 >= 2·5^6 + 1): one 2-word per orbit of the 5 cyclic shifts
+    # keeps 10 blocks of 5^7 letters, where the windows of all the 2-words hold 45
+    read, real = [], apword.substitution.factor
+
+    def spy(fp, start, stop, coding=None):
+        read.append(stop - start)
+        return real(fp, start, stop, coding)
+
+    monkeypatch.setattr(apword.substitution, "factor", spy)
+    assert recurrence_constants(get_builtin("tm:5").substitution).zeta2_exact == 8125
+    assert sum(read) == 781_250 == 10 * 5**7
 
 
 @pytest.mark.parametrize("rules, zeta2", [
